@@ -12,9 +12,8 @@
 #   3. corrupt the newest checkpoint archive, resume -> rollback to the
 #      predecessor, reference trajectory reproduced
 #
-# Finishes in a few minutes on one CPU.  A stray resource_tracker
-# KeyError traceback on stderr is expected: it comes from a worker the
-# injector killed with os._exit mid-attach, not from the parent.
+# Finishes in a few minutes on one CPU.  Fails if stderr shows a
+# resource_tracker KeyError for a shared-memory segment.
 #
 #   bash scripts/verify_chaos.sh [workdir]
 set -euo pipefail
@@ -25,6 +24,13 @@ WORK="${1:-$(mktemp -d)}"
 mkdir -p "$WORK"
 echo "workdir: $WORK"
 
+# Stderr is shown and also kept in $WORK/stderr.log.  A shared-memory
+# segment unregistered twice makes the resource tracker print
+# "KeyError: '/psm_...'" there, and that fails the script.  A pipeline
+# (unlike a process substitution) waits until every holder of the
+# stderr pipe, resource tracker processes included, has exited.
+STDERR_LOG="$WORK/stderr.log"
+main() {
 python3 - "$WORK" <<'EOF'
 import json
 import sys
@@ -175,3 +181,11 @@ assert trajectory(resumed) == trajectory(serial), \
 print("OK: flipped byte rejected, rolled back to the predecessor, "
       "reference trajectory reproduced")
 EOF
+}
+{ main 2>&1 1>&3 3>&- | tee "$STDERR_LOG" >&2; } 3>&1
+if grep -q "KeyError: '/psm_" "$STDERR_LOG"; then
+    echo "FAIL: resource_tracker KeyError on stderr" \
+        "(a shared-memory segment was unregistered twice)" >&2
+    exit 1
+fi
+echo "OK: no resource_tracker KeyError on stderr"

@@ -9,8 +9,8 @@
 #      {0, 1, 2, 4}, grad_shards=1 bit-equal to the serial loop, and a
 #      worker killed mid-round salvaged without perturbing a byte.
 #
-# Finishes in a few minutes on one CPU.  A stray resource_tracker
-# KeyError traceback on stderr is expected from the killed worker.
+# Finishes in a few minutes on one CPU.  Fails if stderr shows a
+# resource_tracker KeyError for a shared-memory segment.
 #
 #   bash scripts/verify_ddp.sh [workdir]
 set -euo pipefail
@@ -21,6 +21,13 @@ WORK="${1:-$(mktemp -d)}"
 mkdir -p "$WORK"
 echo "workdir: $WORK"
 
+# Stderr is shown and also kept in $WORK/stderr.log.  A shared-memory
+# segment unregistered twice makes the resource tracker print
+# "KeyError: '/psm_...'" there, and that fails the script.  A pipeline
+# (unlike a process substitution) waits until every holder of the
+# stderr pipe, resource tracker processes included, has exited.
+STDERR_LOG="$WORK/stderr.log"
+main() {
 # Smoke scale, 12 steps: the first bit drops that actually cost
 # accuracy land around step 8, so the adaptive recovery really trains
 # (micro never recovers — its accuracy is flat-random).
@@ -165,3 +172,11 @@ assert (loss, weight_bytes(net)) == reference, \
     "mid-round worker kill perturbed the trajectory"
 print("OK: mid-round worker kill salvaged without perturbing a byte")
 EOF
+}
+{ main 2>&1 1>&3 3>&- | tee "$STDERR_LOG" >&2; } 3>&1
+if grep -q "KeyError: '/psm_" "$STDERR_LOG"; then
+    echo "FAIL: resource_tracker KeyError on stderr" \
+        "(a shared-memory segment was unregistered twice)" >&2
+    exit 1
+fi
+echo "OK: no resource_tracker KeyError on stderr"

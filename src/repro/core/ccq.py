@@ -704,9 +704,6 @@ class CCQQuantizer:
         self.telemetry.gauge("ccq.probe_pool_workers").set(
             self._pool.n_workers
         )
-        self.telemetry.logger.info(
-            "probe pool started", workers=self._pool.n_workers,
-        )
         return self._pool
 
     def _ensure_supervisor(self) -> Any:

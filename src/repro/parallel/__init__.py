@@ -14,6 +14,10 @@ bounded budget, partial-result salvage and candidate quarantine — all
 trajectory-invariant, since a missing result simply evaluates serially
 inside the Hedge loop.
 
+While a pool is alive it also owns the CPU budget: the parent and
+every worker pin their OpenBLAS threads so that workers and BLAS do not
+oversubscribe the cores (:mod:`repro.parallel.blas`).
+
 Construction goes through :func:`create_probe_pool` so the CCQ driver
 (and tests) can swap the factory; any failure to start is a
 :class:`PoolError`, which callers treat as "run serial instead".

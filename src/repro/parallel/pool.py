@@ -25,14 +25,32 @@ answer from an aborted round can never be mistaken for a fresh one.
 The legacy one-shot :meth:`evaluate_candidates` keeps the old
 all-or-nothing semantics (any fault raises :class:`PoolError`); the
 supervised path lives in :mod:`repro.parallel.supervisor`.
+
+Result channel: each worker writes its messages synchronously into its
+own one-way pipe, and the parent multiplexes the read ends with
+:func:`multiprocessing.connection.wait`.  Only the worker holds its
+write end, so a worker that dies — even halfway through a message —
+turns its pipe into an EOF rather than a blocked read, and nothing it
+leaves behind can stall the other workers' results.  (A single shared
+``multiprocessing.Queue`` could: a worker killed while its feeder
+thread wrote left a truncated message or a held write lock, and the
+parent blocked in ``recv`` past every deadline.)
+
+CPU budget: while the pool is alive, the parent and every worker pin
+their OpenBLAS threads to :func:`repro.parallel.blas.budget`, so ``n``
+workers plus the parent share the usable CPUs instead of each running
+a full set of BLAS threads on them; :meth:`close` restores the
+parent's previous counts.  Thread counts never change results (see
+:mod:`repro.parallel.blas`).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_module
 import time
 from collections import deque
+from multiprocessing import resource_tracker
+from multiprocessing.connection import wait as wait_connections
 from typing import (
     Any,
     Deque,
@@ -48,6 +66,7 @@ from typing import (
 import numpy as np
 
 from ..telemetry import NULL_TELEMETRY, Telemetry
+from . import blas
 from .sharedmem import SharedArrayStore
 from .worker import PINNED_PREFIX, worker_main
 
@@ -88,6 +107,15 @@ class ProbeWorkerPool:
     telemetry:
         Structured-log sink for worker lifecycle events (exit codes at
         close, respawn handshakes).  Defaults to the no-op singleton.
+
+    Attributes
+    ----------
+    blas_threads:
+        The parent's OpenBLAS thread count while the pool is alive.
+    worker_blas_threads:
+        Each worker's count, as reported in its ready handshake.
+
+    Both are None where no OpenBLAS is loaded.
     """
 
     def __init__(
@@ -125,7 +153,13 @@ class ProbeWorkerPool:
         self._train_store = SharedArrayStore()
         self._workers: List[Any] = []
         self._command_queues: List[Any] = []
+        # The parent's read end of each worker's result pipe; None once
+        # the worker is gone and everything it sent has been read.
+        self._result_conns: List[Any] = []
+        # Messages read off the pipes but not yet handed out.
+        self._inbox: Deque[Any] = deque()
         self._closed = False
+        self._blas_saved: Optional[Dict[str, int]] = None
         # Messages popped while waiting for something else (e.g. a
         # healthy worker's result arriving during a respawn handshake)
         # are stashed, not dropped — that is what makes salvage work.
@@ -139,11 +173,20 @@ class ProbeWorkerPool:
             self._ctx = multiprocessing.get_context("fork")
         except ValueError as err:
             raise PoolError(f"fork start method unavailable: {err}") from err
+        # Pinned before the first fork, so workers start pinned too (and
+        # re-pin on entry, which also covers respawns).
+        self._blas_limit = blas.budget(n_workers)
+        self._blas_saved = blas.limit_threads(self._blas_limit)
+        self.blas_threads: Optional[int] = blas.threads()
+        self.worker_blas_threads: List[Optional[int]] = [None] * n_workers
         try:
-            self._result_queue = self._ctx.Queue()
+            # Started before the first fork, so every worker shares the
+            # parent's tracker (see sharedmem.attach_arrays).
+            resource_tracker.ensure_running()
             for worker_id in range(n_workers):
                 self._command_queues.append(None)
                 self._workers.append(None)
+                self._result_conns.append(None)
                 self._spawn(worker_id)
             self._await_ready(range(n_workers), start_timeout)
         except PoolError:
@@ -152,21 +195,47 @@ class ProbeWorkerPool:
         except Exception as err:
             self.close()
             raise PoolError(f"probe pool failed to start: {err}") from err
+        # The thread setting every timing of this run was taken under
+        # (None: no OpenBLAS found to pin).
+        if self.blas_threads is not None:
+            self._telemetry.gauge(
+                "pool.blas_threads", process="parent"
+            ).set(self.blas_threads)
+        worker_counts = [c for c in self.worker_blas_threads if c is not None]
+        if worker_counts:
+            self._telemetry.gauge(
+                "pool.blas_threads", process="worker"
+            ).set(max(worker_counts))
+        self._telemetry.logger.info(
+            "probe pool started", workers=n_workers,
+            blas_threads=self.blas_threads,
+            worker_blas_threads=self.worker_blas_threads,
+        )
 
     # -- worker lifecycle ----------------------------------------------------
 
     def _spawn(self, worker_id: int) -> None:
         command_queue = self._ctx.Queue()
+        reader, writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=worker_main,
             args=(worker_id, self._model, self._quantize_activations,
-                  command_queue, self._result_queue,
+                  command_queue, writer, self._blas_limit,
                   self._worker_telemetry_dir),
             daemon=True,
             name=f"probe-worker-{worker_id}",
         )
-        process.start()
+        try:
+            process.start()
+        except BaseException:
+            reader.close()
+            raise
+        finally:
+            # The worker must be the write end's only holder: then its
+            # exit is an EOF on the read end, never a blocked recv.
+            writer.close()
         self._command_queues[worker_id] = command_queue
+        self._result_conns[worker_id] = reader
         self._workers[worker_id] = process
 
     def _await_ready(self, worker_ids: Iterable[int], timeout: float) -> None:
@@ -180,13 +249,13 @@ class ProbeWorkerPool:
                     f"probe workers failed to start within {timeout:.0f}s "
                     f"({len(ready)}/{len(wanted)} ready)"
                 )
-            # Read the queue directly (NOT next_message): anything in
+            # Read the pipes directly (NOT next_message): anything in
             # the stash was already triaged, and re-triaging it here
-            # would spin on it forever without draining the queue.
+            # would spin on it forever without draining the pipes.
             message = self._queue_get(timeout=min(0.5, remaining))
             if message is None:
-                # Queue is quiet — only now is a missing worker's death
-                # conclusive (its "ready" could still have been queued).
+                # Pipes are quiet — only now is a missing worker's death
+                # conclusive (its "ready" could still have been unread).
                 dead = sorted(set(self.dead_workers()) & (wanted - ready))
                 if dead:
                     raise PoolError(
@@ -196,6 +265,7 @@ class ProbeWorkerPool:
             kind = message[0]
             if kind == "ready" and message[1] in wanted:
                 ready.add(message[1])
+                self.worker_blas_threads[message[1]] = message[2]
             elif kind == "result":
                 # A healthy worker's result landing mid-handshake: keep
                 # it for the collector.
@@ -225,6 +295,14 @@ class ProbeWorkerPool:
             else:
                 old.join(timeout=1.0)
             self._log_exit(worker_id, old, during="respawn")
+            if not old.is_alive():
+                self._drain_result_conn(worker_id)
+        old_conn = self._result_conns[worker_id]
+        if old_conn is not None:
+            # A worker that outlived terminate and kill may still be
+            # writing; its pipe is abandoned unread.
+            self._result_conns[worker_id] = None
+            old_conn.close()
         old_queue = self._command_queues[worker_id]
         if old_queue is not None:
             try:
@@ -269,8 +347,8 @@ class ProbeWorkerPool:
         subsequent broadcast can safely overwrite the shared block.
         """
         self._check_alive()
-        # A new broadcast starts a new step: anything still stashed or
-        # queued from the previous round is stale by construction.
+        # A new broadcast starts a new step: anything still stashed from
+        # the previous round is stale by construction.
         self._stash.clear()
         arrays: Dict[str, np.ndarray] = dict(state_arrays)
         for i, (images, labels) in enumerate(pinned_batches):
@@ -410,11 +488,32 @@ class ProbeWorkerPool:
         self._command_queues[worker_id].put(message)
 
     def _queue_get(self, timeout: float) -> Optional[Any]:
-        """Pop straight from the result queue, or None on timeout."""
+        """The next message read off the result pipes, or None on
+        timeout."""
+        if not self._inbox:
+            conns = [conn for conn in self._result_conns if conn is not None]
+            for conn in wait_connections(conns, timeout):
+                self._receive(self._result_conns.index(conn))
+        return self._inbox.popleft() if self._inbox else None
+
+    def _receive(self, worker_id: int) -> None:
+        """Move one message from a ready pipe into the inbox."""
+        conn = self._result_conns[worker_id]
         try:
-            return self._result_queue.get(timeout=timeout)
-        except queue_module.Empty:
-            return None
+            self._inbox.append(conn.recv())
+        except (EOFError, OSError):
+            # The worker exited, possibly mid-message: nothing more can
+            # arrive on this pipe.
+            self._result_conns[worker_id] = None
+            conn.close()
+
+    def _drain_result_conn(self, worker_id: int) -> None:
+        """Keep every message an exited worker sent before it died."""
+        while (
+            self._result_conns[worker_id] is not None
+            and self._result_conns[worker_id].poll()
+        ):
+            self._receive(worker_id)
 
     def next_message(self, timeout: float) -> Optional[Any]:
         """Pop the next worker message (stash first), or None on timeout."""
@@ -490,7 +589,8 @@ class ProbeWorkerPool:
         )
 
     def close(self) -> None:
-        """Stop the workers and release the shared segment (idempotent).
+        """Stop the workers, release the shared segments and restore the
+        parent's BLAS thread counts (idempotent).
 
         Worker exit statuses are drained and nonzero codes logged
         through the structured logger — a worker that died of a signal
@@ -523,12 +623,15 @@ class ProbeWorkerPool:
                 command_queue.close()
             except (OSError, ValueError):
                 pass
-        try:
-            self._result_queue.close()
-        except (AttributeError, OSError, ValueError):
-            pass
+        for conn in self._result_conns:
+            if conn is not None:
+                conn.close()
+        self._result_conns = []
         self._store.unlink()
         self._train_store.unlink()
+        if self._blas_saved is not None:
+            blas.restore_threads(self._blas_saved)
+            self._blas_saved = None
 
     def __del__(self) -> None:
         # Interpreter-teardown cleanup only.  Narrow catches: a

@@ -17,7 +17,7 @@ allocation, no pickling of array payloads, and no per-worker copy.
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -140,18 +140,29 @@ def attach_arrays(
         # is the sole unlinker.
         shm = shared_memory.SharedMemory(name=name, track=False)
     except TypeError:
+        # Pre-3.13 there is no opt-out: the attach registers the segment
+        # with this process's resource tracker.  A process forked after
+        # the creator's tracker started (every pool worker: the pool
+        # starts it before forking) shares that tracker, whose set
+        # already holds the name — the registration is a no-op there,
+        # and undoing it would delete the *creator's* entry, so the
+        # creator's unlink would later fail in the tracker with
+        # ``KeyError``.  A process with no tracker yet (not the creator
+        # and not forked from it) gets a tracker of its own from the
+        # attach and must undo it, or that tracker would unlink a
+        # segment it does not own when the process exits.
+        shared = _tracker_running()
         shm = shared_memory.SharedMemory(name=name)
-        # Pre-3.13 there is no opt-out: the attach itself registered the
-        # segment with this process's resource tracker, which would both
-        # warn about a "leak" at exit and unlink a segment it doesn't
-        # own.  Undo the registration; ownership stays with the parent.
-        try:
-            from multiprocessing import resource_tracker
-
+        if not shared:
             resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
     return shm, views_from(shm, manifest)
+
+
+def _tracker_running() -> bool:
+    """Whether this process started, or inherited through ``fork``, a
+    resource tracker connection."""
+    tracker = resource_tracker._resource_tracker
+    return getattr(tracker, "_fd", None) is not None
 
 
 def views_from(

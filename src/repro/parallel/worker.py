@@ -51,6 +51,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from . import blas
+
 __all__ = ["worker_main", "PINNED_PREFIX", "DDP_PREFIX", "FAULT_HOOK"]
 
 # Broadcast keys carrying pinned probe batches instead of model state.
@@ -129,10 +131,18 @@ def worker_main(
     model,
     quantize_activations: bool,
     command_queue,
-    result_queue,
+    result_conn,
+    blas_limit: int,
     telemetry_dir: Optional[str] = None,
 ) -> None:
-    """Entry point of one forked probe worker (runs until ``stop``)."""
+    """Entry point of one forked probe worker (runs until ``stop``).
+
+    Every message goes to the parent synchronously over ``result_conn``,
+    this worker's own pipe.  ``blas_limit`` is the pool's per-process
+    BLAS thread budget; the ``ready`` handshake reports the count this
+    worker then runs with (None without OpenBLAS).
+    """
+    blas.limit_threads(blas_limit)
     from ..core.probe import PinnedProbeSet
     from ..core.resilience import DivergenceError
     from ..core.training import evaluate
@@ -170,8 +180,8 @@ def worker_main(
         on_start = getattr(FAULT_HOOK, "on_start", None)
         if on_start is not None and on_start(worker_id) == "kill":
             os._exit(_EXIT_INJECTED_START_KILL)
-    result_queue.put(("ready", worker_id))
     try:
+        result_conn.send(("ready", worker_id, blas.threads()))
         while True:
             try:
                 message = command_queue.get(timeout=_POLL_S)
@@ -219,7 +229,7 @@ def worker_main(
                 # worker killed mid-round still leaves its last synced
                 # metrics behind for the aggregator.
                 telemetry.write_worker_metrics()
-                result_queue.put(("synced", worker_id, sync_seq))
+                result_conn.send(("synced", worker_id, sync_seq))
                 continue
             if kind == "rtrain":
                 (
@@ -260,7 +270,7 @@ def worker_main(
                         outcome["status"] = "ok"
                         outcome["loss"] = None  # schema violation
                         outcome["elapsed"] = 0.0
-                        result_queue.put(("result", outcome))
+                        result_conn.send(("result", outcome))
                         continue
                 train_span = telemetry.span("worker_train", **span_attrs)
                 train_span.__enter__()
@@ -333,7 +343,7 @@ def worker_main(
                 telemetry.histogram("worker.train_s").observe(
                     float(outcome["elapsed"])
                 )
-                result_queue.put(("result", outcome))
+                result_conn.send(("result", outcome))
                 continue
             if kind == "eval":
                 _, gen, task_id, layer_names, bits = message[:5]
@@ -373,7 +383,7 @@ def worker_main(
                         outcome["status"] = "ok"
                         outcome["loss"] = None  # schema violation
                         outcome["elapsed"] = 0.0
-                        result_queue.put(("result", outcome))
+                        result_conn.send(("result", outcome))
                         continue
                 eval_span = telemetry.span("worker_eval", **span_attrs)
                 eval_span.__enter__()
@@ -418,7 +428,9 @@ def worker_main(
                 telemetry.histogram("worker.eval_s").observe(
                     float(outcome["elapsed"])
                 )
-                result_queue.put(("result", outcome))
+                result_conn.send(("result", outcome))
+    except BrokenPipeError:
+        pass  # the parent is gone; nobody is left to answer
     finally:
         try:
             telemetry.write_worker_metrics()

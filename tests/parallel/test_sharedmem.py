@@ -1,10 +1,18 @@
 """Shared-memory broadcast: pack/attach roundtrip and block reuse."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.parallel import SharedArrayStore, attach_arrays, views_from
 from repro.parallel.sharedmem import _ALIGN
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def sample_arrays(scale=1.0):
@@ -131,3 +139,52 @@ class TestLifecycle:
     def test_attach_unknown_segment_raises(self):
         with pytest.raises(FileNotFoundError):
             attach_arrays("repro-no-such-segment", [])
+
+    def test_forked_attach_keeps_the_creators_tracker_entry(self):
+        """A worker forked after the creator's resource tracker started
+        shares that tracker: its attach must not remove the creator's
+        entry, or the creator's unlink makes the tracker print a
+        ``KeyError`` (and the segment is no longer tracked for cleanup).
+        """
+        script = textwrap.dedent("""
+            import multiprocessing
+            from multiprocessing import resource_tracker
+
+            import numpy as np
+
+            from repro.parallel.sharedmem import (
+                SharedArrayStore, attach_arrays,
+            )
+
+            resource_tracker.ensure_running()
+            store = SharedArrayStore()
+            name, manifest, _ = store.ensure({"w": np.arange(8.0)})
+
+            def worker():
+                shm, views = attach_arrays(name, manifest)
+                assert views["w"][3] == 3.0
+                del views
+                shm.close()
+
+            for _ in range(2):  # e.g. a respawned worker
+                process = multiprocessing.get_context("fork").Process(
+                    target=worker
+                )
+                process.start()
+                process.join(30)
+                assert process.exitcode == 0, process.exitcode
+            store.unlink()
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        # The tracker inherits stderr, so its complaints (printed when
+        # it sees the script's exit) land in the captured output.
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "KeyError" not in done.stderr
+        assert "leaked" not in done.stderr
