@@ -7,8 +7,10 @@
 #
 # The two runs must report the identical bit configuration, final
 # accuracy, compression and probe rounds; the parallel run may only
-# differ in probe_forward_passes (speculative worker evaluations).
-# Also checks the serial run's quantized-weight cache saw traffic.
+# differ in probe_forward_passes (fan-out evaluations the Hedge loop
+# never drew).  Also checks the pool really ran: at least one fan-out
+# round, with nothing missing and no degraded round, so a pool that
+# silently fell back to serial cannot pass.
 # Finishes in a few minutes on one CPU.
 #
 #   bash scripts/verify_parallel.sh [workdir]
@@ -53,14 +55,19 @@ if parallel["probe_forward_passes"] < serial["probe_forward_passes"]:
           f"{serial['probe_forward_passes']}")
     sys.exit(1)
 
-if serial["qweight_cache_hits"] <= 0:
-    print("qweight cache saw no hits on the serial path")
+fanout = parallel.get("fanout", {})
+if fanout.get("rounds", 0) <= 0:
+    print(f"the pool never ran a fan-out round: fanout={fanout!r}")
+    sys.exit(1)
+if fanout["missing"] or fanout["degraded_rounds"]:
+    print(f"the pool lost results: missing={fanout['missing']} "
+          f"degraded_rounds={fanout['degraded_rounds']}")
     sys.exit(1)
 
-speculative = (parallel["probe_forward_passes"]
-               - serial["probe_forward_passes"])
+undrawn = (parallel["probe_forward_passes"]
+           - serial["probe_forward_passes"])
 print(f"OK: identical trajectory with --probe-workers 2 "
-      f"({speculative} speculative worker evaluations; serial qweight "
-      f"cache: {serial['qweight_cache_hits']} hits / "
-      f"{serial['qweight_cache_misses']} misses)")
+      f"({fanout['rounds']} fan-out rounds, {fanout['attempted']} "
+      f"candidates; {undrawn} fan-out evaluations the Hedge loop never "
+      f"drew)")
 EOF

@@ -171,6 +171,39 @@ class _SignalGuard:
                 pass
 
 
+def _int_at_least(minimum: int):
+    """argparse ``type=`` for an integer option with a lower bound, so a
+    bad value is a usage error before any work starts."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse ``type=`` for a strictly positive float option."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def _cmd_run_ccq(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         print("error: --resume requires --checkpoint-dir", file=sys.stderr)
@@ -215,8 +248,6 @@ def _cmd_run_ccq(args: argparse.Namespace) -> int:
             probe_workers=args.probe_workers,
             probe_timeout=args.probe_timeout,
             recover_workers=args.recover_workers,
-            probe_pipeline=not args.no_probe_pipeline,
-            qweight_cache=not args.no_qweight_cache,
             checkpoint_dir=args.checkpoint_dir,
             max_retries=args.max_retries,
             input_shape=task.input_shape,
@@ -278,8 +309,6 @@ def _cmd_run_ccq(args: argparse.Namespace) -> int:
                 "probe_workers": args.probe_workers,
                 "recover_workers": args.recover_workers,
                 "recover_trainer": args.recover_trainer,
-                "qweight_cache_hits": result.qweight_cache_hits,
-                "qweight_cache_misses": result.qweight_cache_misses,
             }
             if result.fanout_stats:
                 payload["fanout"] = result.fanout_stats
@@ -596,14 +625,14 @@ def build_parser() -> argparse.ArgumentParser:
              "way — this exists for verification and benchmarking)",
     )
     p_run.add_argument(
-        "--probe-workers", type=int, default=0,
+        "--probe-workers", type=_int_at_least(0), default=0,
         help="fan competition probes out across this many persistent "
              "worker processes (0 = serial, the default; losses are "
              "bit-identical to serial for any worker count, and the "
              "run falls back to serial if the pool cannot start)",
     )
     p_run.add_argument(
-        "--probe-timeout", type=float, default=None,
+        "--probe-timeout", type=_positive_float, default=None,
         help="fixed per-candidate deadline (seconds) for pool probe "
              "evaluations; default derives it adaptively from the "
              "pinned-batch count times a measured per-batch EMA.  "
@@ -611,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
              "candidate is re-evaluated serially with identical loss",
     )
     p_run.add_argument(
-        "--recover-workers", type=int, default=0,
+        "--recover-workers", type=_int_at_least(0), default=0,
         help="shard recovery training batches across this many pool "
              "workers when --recover-trainer=ddp (0 = compute shards "
              "in-process, the default).  Trajectory-invariant "
@@ -627,23 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
              "docs/ddp.md)",
     )
     p_run.add_argument(
-        "--recover-grad-shards", type=int, default=4,
+        "--recover-grad-shards", type=_int_at_least(1), default=4,
         help="gradient shards per recovery batch under "
              "--recover-trainer=ddp (trajectory-DEFINING, default: 4)",
-    )
-    p_run.add_argument(
-        "--no-probe-pipeline", action="store_true",
-        help="disable speculative probing: by default the next step's "
-             "likely probe candidates start on the pool while the "
-             "current step finishes accounting/checkpointing.  "
-             "Trajectory-invariant (fingerprint-excluded)",
-    )
-    p_run.add_argument(
-        "--no-qweight-cache", action="store_true",
-        help="disable the per-step frozen-layer quantized-weight cache "
-             "(every no-grad forward re-quantizes every layer; the "
-             "trajectory is identical either way — this exists for "
-             "verification and benchmarking)",
     )
     p_run.add_argument(
         "--kernel-backend", default="reference",

@@ -42,9 +42,7 @@ those forward passes additionally fan out across a persistent forked
 worker pool (``repro.parallel``) that shares the frozen model state
 through shared memory; the sequential Hedge loop consumes the
 prefetched losses, which are bit-identical to serial for any worker
-count.  Orthogonally, ``CCQConfig.qweight_cache`` reuses each frozen
-layer's quantized weight tensor across all probes of a stage instead
-of re-quantizing every layer on every probe forward.
+count.
 
 The driver is also *observable*.  Passing a live
 :class:`repro.telemetry.Telemetry` as ``CCQQuantizer(telemetry=...)``
@@ -71,12 +69,10 @@ from ..nn.modules import Module
 from ..nn.serialization import CheckpointError, named_state_arrays
 from ..quantization.policy import QuantPolicy
 from ..quantization.qmodules import (
-    enable_weight_cache,
     get_bit_config,
     quantize_model,
     quantized_layers,
     set_bit_config,
-    weight_cache_stats,
 )
 from .collaboration import RecoveryConfig, RecoveryReport, recover
 from .competition import CompetitionResult, HedgeCompetition, LambdaSchedule
@@ -149,7 +145,7 @@ class CCQConfig:
     probe_cache: bool = True
     # Parallel probe fan-out (see repro.parallel).  With N > 0 workers,
     # each step's distinct (expert, next_bits) candidates are evaluated
-    # speculatively on a persistent forked worker pool — sharing the
+    # ahead of the draws on a persistent forked worker pool — sharing the
     # frozen model state through shared memory — and the sequential
     # Hedge loop consumes the prefetched losses.  The losses are
     # bit-identical to the serial path for any worker count, so like
@@ -167,21 +163,6 @@ class CCQConfig:
     # including 0 — so like probe_workers this knob is deliberately
     # NOT part of the resume fingerprint.
     recover_workers: int = 0
-    # Probe/recovery pipelining: after each step's collaboration, start
-    # the next step's probe fan-out speculatively so the workers
-    # compute during the parent's accounting, checkpoint and pre-step
-    # evaluation.  Speculation the realized step invalidates is
-    # discarded; consumed results are bit-identical to a fresh fan-out,
-    # so this is trajectory-invariant and fingerprint-excluded.
-    probe_pipeline: bool = True
-    # Per-step frozen-layer quantized-weight cache: within a
-    # competition stage the shadow weights are constant, so each
-    # layer's quantized weight tensor is computed once per (layer,
-    # bits) and reused across probes.  Inference-only (training
-    # forwards bypass it), invalidated whenever the weights may have
-    # moved — exact, trajectory-invariant, and excluded from the
-    # fingerprint like the two knobs above.
-    qweight_cache: bool = True
     # Fixed per-candidate pool deadline in seconds (``--probe-timeout``).
     # None (the default) derives the deadline adaptively from the
     # pinned-batch count times a measured per-batch EMA — see
@@ -240,14 +221,10 @@ class CCQResult:
     # Probe-engine accounting: rounds served from the per-step memo vs
     # rounds whose loss came from a fresh evaluation.  On the serial
     # path misses == probe_forward_passes; with the parallel backend
-    # forward passes also count speculative worker evaluations the
-    # Hedge loop never consumed, so they can exceed the misses.
+    # forward passes also count fan-out evaluations the Hedge loop
+    # never drew, so they can exceed the misses.
     probe_cache_hits: int = 0
     probe_cache_misses: int = 0
-    # Frozen-layer quantized-weight cache counters (serial and parallel
-    # parent-side forwards; worker-side replicas are not aggregated).
-    qweight_cache_hits: int = 0
-    qweight_cache_misses: int = 0
     # Aggregated parallel fan-out accounting across the run (empty when
     # the run never fanned out): rounds/attempted/completed plus the
     # salvage/requeue/respawn/quarantine totals from each round's
@@ -390,10 +367,6 @@ class CCQQuantizer:
         # The data-parallel recovery trainer (recovery.trainer="ddp"),
         # built lazily; shares the pool and supervisor with probing.
         self._ddp_trainer: Optional[Any] = None
-        # A speculative probe round started at the end of the previous
-        # step and not yet collected: (step it targets, PendingRound).
-        # In-memory only — a resumed run simply starts without one.
-        self._spec: Optional[Tuple[int, Any]] = None
         if (
             self.config.probe_timeout is not None
             and self.config.probe_timeout <= 0
@@ -405,13 +378,6 @@ class CCQQuantizer:
         # Cooperative interruption (SIGTERM/SIGINT): the run finishes
         # the step in flight, checkpoints, journals and returns.
         self._stop_requested = False
-        # Frozen-layer quantized-weight cache: enabled for the whole
-        # run, scoped per stage (off while collaboration trains, reset
-        # whenever the weights may have moved).
-        if self.config.qweight_cache:
-            enable_weight_cache(self.model, True)
-        self._qweight_restored = (0, 0)
-        self._qweight_prev = (0, 0)
         if self.config.size_metric not in ("memory", "macs"):
             raise ValueError(
                 f"size_metric must be 'memory' or 'macs', "
@@ -456,13 +422,11 @@ class CCQQuantizer:
                 "ccq.recovery_retry", "ccq.expert_skipped",
                 "ccq.fatal_divergence",
                 "ccq.probe_cache_hits", "ccq.probe_cache_misses",
-                "ccq.qweight_cache_hits", "ccq.qweight_cache_misses",
                 "ccq.probe_pool_evals", "ccq.probe_pool_fallbacks",
                 "ccq.pool_respawns", "ccq.pool_salvaged_results",
                 "ccq.pool_requeued", "ccq.pool_repromotions",
                 "ccq.quarantined_candidates",
                 "ccq.checkpoint_integrity_failures",
-                "ccq.spec_probe_hits", "ccq.spec_probe_discarded",
                 "ccq.recover_pool_fallbacks",
             ):
                 self.telemetry.counter(counter_name)
@@ -784,27 +748,18 @@ class CCQQuantizer:
         ``(expert, next_bits)`` candidates has one fixed loss no matter
         when (or whether) the Hedge loop draws it — they can be
         computed up front, in parallel.  A step's ``U`` rounds touch at
-        most ``min(U, n_awake)`` distinct candidates, so speculation is
+        most ``min(U, n_awake)`` distinct candidates, so the fan-out is
         capped there: when more experts are awake than rounds exist,
         only the ``U`` most probable ones (under the distribution round
         0 draws from — a deterministic choice that cannot perturb the
         trajectory) are fanned out, and a drawn candidate that was not
-        speculated simply evaluates serially inside the loop.  The
+        fanned out simply evaluates serially inside the loop.  The
         results are staged in the probe engine and consumed by the
         *unchanged* sequential competition, which keeps the observation
         order, the journal and the trajectory bit-identical to a serial
-        run.  Candidates the loop never draws are speculative waste
-        (counted in ``probe_forward_passes``, invisible everywhere
-        else).
-
-        When the previous step left a speculative round in flight
-        (``probe_pipeline``), its results are collected here instead of
-        starting a fresh round — the candidate set is a deterministic
-        function of state that has not changed since the speculation
-        was ranked, so the speculative round *is* this step's fan-out.
+        run.  Candidates the loop never draws are wasted work (counted
+        in ``probe_forward_passes``, invisible everywhere else).
         """
-        spec = self._spec
-        self._spec = None
         if self.config.probe_workers <= 0:
             return
         if self._pool_failed:
@@ -831,14 +786,17 @@ class CCQQuantizer:
         candidates = self._probe_candidates()
         if len(candidates) < 2:
             return  # nothing to fan out
-        if spec is not None and self._collect_spec(step, spec, candidates):
-            return
         pool = self._ensure_pool()
         if pool is None:
             return
         telemetry = self.telemetry
         supervisor = self._ensure_supervisor()
-        tasks = self._candidate_tasks(candidates)
+        tasks = [
+            ((index, bits),
+             [self.layers[m][0] for m in self.experts[index][1]],
+             bits)
+            for index, bits in candidates
+        ]
         try:
             with telemetry.span(
                 "probe_fanout", step=step, candidates=len(candidates)
@@ -873,10 +831,7 @@ class CCQQuantizer:
         """The step's distinct fan-out candidates, most probable first.
 
         Deterministic: ranked by the distribution round 0 draws from,
-        ties broken by expert index.  Nothing between the end of one
-        step's collaboration and the next step's fan-out touches the
-        Hedge state or the bit widths, so a speculative ranking taken
-        early is identical to the one taken at fan-out time.
+        ties broken by expert index.
         """
         candidates = [
             (i, self._next_bits(i))
@@ -892,117 +847,6 @@ class CCQQuantizer:
                 candidates, key=lambda c: (-p[c[0]], c[0])
             )[:limit]
         return candidates
-
-    def _candidate_tasks(
-        self, candidates: List[Tuple[int, int]]
-    ) -> List[Tuple[Any, List[str], int]]:
-        return [
-            (
-                (index, bits),
-                [self.layers[m][0]
-                 for m in self.experts[index][1]],
-                bits,
-            )
-            for index, bits in candidates
-        ]
-
-    def _start_speculative_probes(self, next_step: int) -> None:
-        """Kick off the next step's probe fan-out before this step ends.
-
-        Called right after a successful collaboration: the model is in
-        its final state for this step, the Hedge state is already what
-        the next step's round 0 will draw from, and the pinned probe
-        subset is reusable — so the next step's candidate losses are
-        fully determined and can compute on the workers while the
-        parent spends wall-clock on accounting, the checkpoint and the
-        next pre-step evaluation.  The handle is collected (or
-        discarded, generation-tagged) by the next ``_fan_out_probes``.
-        """
-        cfg = self.config
-        if (
-            not cfg.probe_pipeline
-            or cfg.probe_workers <= 0
-            or self._pool_failed
-            or self._stop_requested
-            or (cfg.max_steps is not None and next_step >= cfg.max_steps)
-        ):
-            return
-        engine = self.probe_engine
-        if getattr(engine, "_pinned", None) is None or not getattr(
-            engine, "_pin_reusable", False
-        ):
-            # The next begin_step would re-pin the probe subset, so a
-            # speculative loss could score on different data: don't.
-            return
-        candidates = self._probe_candidates()
-        if len(candidates) < 2:
-            return
-        pool = self._ensure_pool()
-        if pool is None:
-            return
-        supervisor = self._ensure_supervisor()
-        tasks = self._candidate_tasks(candidates)
-        try:
-            with self.telemetry.span(
-                "probe_fanout_start", step=next_step,
-                candidates=len(candidates), speculative=True,
-            ) as span:
-                trace = {
-                    "trace_id": f"step{next_step}",
-                    "parent_span": getattr(span, "span_id", None),
-                    "step": next_step,
-                }
-                started = supervisor.start_round(
-                    pool,
-                    named_state_arrays(self.model),
-                    get_bit_config(self.model),
-                    engine.pinned.batches,
-                    tasks,
-                    trace=trace,
-                )
-        except Exception as err:
-            self._degrade_pool(next_step, str(err))
-            return
-        if started is not None:
-            self._spec = (next_step, started)
-
-    def _collect_spec(
-        self,
-        step: int,
-        spec: Tuple[int, Any],
-        candidates: List[Tuple[int, int]],
-    ) -> bool:
-        """Collect a speculative round; True when it covered this step.
-
-        Results for candidates the realized step does not rank are
-        discarded (their forward passes are still counted — speculative
-        waste, like an undrawn prefetch).  Candidates the speculation
-        missed evaluate serially inside the Hedge loop, exactly like a
-        salvaged fan-out.
-        """
-        spec_step, started = spec
-        pool = self._pool
-        if pool is None or spec_step != step:
-            return False
-        telemetry = self.telemetry
-        supervisor = self._ensure_supervisor()
-        try:
-            with telemetry.span(
-                "probe_fanout", step=step, speculative=True,
-                candidates=len(candidates),
-            ):
-                report = supervisor.collect_round(pool, started)
-        except Exception as err:
-            self._degrade_pool(step, str(err))
-            return True
-        self._account_fanout_report(step, report, supervisor)
-        self._prefetch_outcomes(
-            report.outcomes,
-            valid_keys={(index, bits) for index, bits in candidates},
-        )
-        if report.degraded:
-            self._degrade_pool(step, "respawn budget exhausted")
-        return True
 
     def _account_fanout_report(
         self, step: int, report: Any, supervisor: Any
@@ -1065,19 +909,11 @@ class CCQQuantizer:
             )
 
     def _prefetch_outcomes(
-        self,
-        raw_outcomes: Dict[Any, Dict[str, Any]],
-        valid_keys: Optional[Set[Any]] = None,
+        self, raw_outcomes: Dict[Any, Dict[str, Any]]
     ) -> None:
-        """Convert raw worker outcomes and stage them in the engine.
-
-        ``valid_keys`` (speculative collection) filters which results
-        reach the engine; everything is still counted as a forward
-        pass, since the workers did compute it.
-        """
+        """Convert raw worker outcomes and stage them in the engine."""
         telemetry = self.telemetry
         outcomes: Dict[Any, ProbeOutcome] = {}
-        discarded = 0
         for key, raw in raw_outcomes.items():
             ok = raw["status"] == "ok"
             elapsed = float(raw.get("elapsed", 0.0))
@@ -1090,9 +926,6 @@ class CCQQuantizer:
                     telemetry.histogram("ccq.probe_loss").observe(
                         float(raw["loss"])
                     )
-            if valid_keys is not None and key not in valid_keys:
-                discarded += 1
-                continue
             outcomes[key] = ProbeOutcome(
                 loss=raw.get("loss"),
                 elapsed=elapsed,
@@ -1104,12 +937,6 @@ class CCQQuantizer:
                 value=raw.get("value"),
             )
         telemetry.counter("ccq.probe_pool_evals").inc(len(outcomes))
-        if valid_keys is not None:
-            telemetry.counter("ccq.spec_probe_hits").inc(len(outcomes))
-            if discarded:
-                telemetry.counter("ccq.spec_probe_discarded").inc(
-                    discarded
-                )
         self.probe_engine.prefetch(outcomes)
 
     def _fanout_stats(self) -> Dict[str, Any]:
@@ -1123,34 +950,6 @@ class CCQQuantizer:
         ):
             stats["ema_batch_s"] = self._supervisor.ema_batch_s
         return stats
-
-    # -- quantized-weight cache scoping -----------------------------------------
-
-    def _qcache_reset(self) -> None:
-        """(Re-)arm the frozen-weight cache for a pure-inference phase.
-
-        Clears any entries quantized from weights that may since have
-        moved; a no-op when the cache is configured off.
-        """
-        if self.config.qweight_cache:
-            enable_weight_cache(self.model, True)
-
-    def _qcache_off(self) -> None:
-        """Disarm the cache before a phase that trains the weights.
-
-        Collaboration interleaves weight updates with per-epoch
-        evaluations, so serving any cached tensor there would be
-        stale; the cache stays off until the next :meth:`_qcache_reset`.
-        """
-        if self.config.qweight_cache:
-            enable_weight_cache(self.model, False)
-
-    def _qweight_totals(self) -> Tuple[int, int]:
-        stats = weight_cache_stats(self.model)
-        return (
-            self._qweight_restored[0] + stats["hits"],
-            self._qweight_restored[1] + stats["misses"],
-        )
 
     # -- snapshots / checkpoints ------------------------------------------------
 
@@ -1244,8 +1043,6 @@ class CCQQuantizer:
             "probe_forward_passes": self.probe_forward_passes,
             "probe_cache_hits": self.probe_engine.cache_hits,
             "probe_cache_misses": self.probe_engine.cache_misses,
-            "qweight_cache_hits": self._qweight_totals()[0],
-            "qweight_cache_misses": self._qweight_totals()[1],
             "fanout_totals": dict(self._fanout_totals),
             "forced_asleep": sorted(self._forced_asleep),
             "initial_eval": eval_to_json(self._initial_eval),
@@ -1301,22 +1098,11 @@ class CCQQuantizer:
         self.probe_engine.cache_misses = int(
             state.get("probe_cache_misses", 0)
         )
-        # Quantized-weight cache counters resume as an offset: the live
-        # per-layer counters restart from whatever this process already
-        # accumulated, so zero them and carry the saved totals aside.
-        for _, layer in self.layers:
-            layer._wq_cache_hits = 0
-            layer._wq_cache_misses = 0
-        self._qweight_restored = (
-            int(state.get("qweight_cache_hits", 0)),
-            int(state.get("qweight_cache_misses", 0)),
-        )
         # Pre-observability checkpoints carry no fan-out totals.
         saved_fanout = state.get("fanout_totals")
         if isinstance(saved_fanout, dict):
             for key in self._fanout_totals:
                 self._fanout_totals[key] = int(saved_fanout.get(key, 0))
-        self._qweight_prev = self._qweight_restored
         self._forced_asleep = set(
             int(i) for i in state.get("forced_asleep", [])
         )
@@ -1370,9 +1156,6 @@ class CCQQuantizer:
             for i in range(len(self.experts)):
                 if self._participates(i):
                     self._set_bits(i, start)
-            # The initial recovery trains — same cache scoping as a
-            # per-step collaboration.
-            self._qcache_off()
             if self.config.initial_recovery_adaptive:
                 self.optimizer.lr = self._base_lr
                 recover(
@@ -1393,7 +1176,6 @@ class CCQQuantizer:
                         max_batches=self.config.recovery.max_batches_per_epoch,
                         telemetry=self.telemetry,
                     )
-            self._qcache_reset()
             return evaluate(
                 self.model, self.val_loader, telemetry=self.telemetry
             )
@@ -1411,11 +1193,6 @@ class CCQQuantizer:
     def _execute_step_inner(self, step: int) -> Optional[StepRecord]:
         store = self.store
         telemetry = self.telemetry
-        # The previous step's collaboration moved the weights; from
-        # here until this step's collaboration the model is frozen, so
-        # the whole stage (pre eval, every probe, post-quant eval)
-        # shares one quantized-weight cache generation.
-        self._qcache_reset()
         try:
             with telemetry.span("eval", stage="pre_step", step=step):
                 pre = evaluate(
@@ -1495,10 +1272,6 @@ class CCQQuantizer:
                     post = evaluate(
                         self.model, self.val_loader, telemetry=telemetry
                     )
-                # Collaboration trains: no cached quantized weight may
-                # be served past this point (recover's own per-epoch
-                # evals run on moving weights).
-                self._qcache_off()
                 with telemetry.span(
                     "recover", step=step, layer=name, attempt=attempt
                 ):
@@ -1518,9 +1291,6 @@ class CCQQuantizer:
                 break
             except DivergenceError as err:
                 self._restore_snapshot(snapshot)
-                # Weights rolled back: re-arm the cache for the next
-                # attempt's post-quant eval.
-                self._qcache_reset()
                 telemetry.counter("ccq.recovery_retry", layer=name).inc()
                 telemetry.logger.warning(
                     "recovery diverged; rolled back and retrying",
@@ -1560,11 +1330,6 @@ class CCQQuantizer:
             return None
 
         self._best_accuracy = max(self._best_accuracy, report.end_accuracy)
-        # Collaboration is done, so the model (and the Hedge state the
-        # next round 0 draws from) is final: overlap the step's tail —
-        # accounting, checkpoint, next pre-eval — with the next step's
-        # probe fan-out on the workers.
-        self._start_speculative_probes(step + 1)
         # Post-step accounting (size report, power trace, journaling) is
         # real wall-clock; the ``account`` stage span keeps it out of
         # the report's uncovered remainder.
@@ -1585,15 +1350,6 @@ class CCQQuantizer:
                 compression=compression,
             )
             telemetry.counter("ccq.steps").inc()
-            if telemetry.enabled and self.config.qweight_cache:
-                hits, misses = self._qweight_totals()
-                telemetry.counter("ccq.qweight_cache_hits").inc(
-                    hits - self._qweight_prev[0]
-                )
-                telemetry.counter("ccq.qweight_cache_misses").inc(
-                    misses - self._qweight_prev[1]
-                )
-                self._qweight_prev = (hits, misses)
             telemetry.gauge("ccq.accuracy").set(report.end_accuracy)
             telemetry.gauge("ccq.compression").set(compression)
             telemetry.event(
@@ -1747,7 +1503,6 @@ class CCQQuantizer:
             telemetry.flush()
 
         telemetry.progress.close()
-        self._qcache_reset()
         with telemetry.span("eval", stage="final"):
             final = evaluate(
                 self.model, self.val_loader, telemetry=telemetry
@@ -1770,7 +1525,6 @@ class CCQQuantizer:
                 accuracy=final.accuracy,
                 compression=compression,
             )
-        qweight_hits, qweight_misses = self._qweight_totals()
         return CCQResult(
             records=records,
             final_eval=final,
@@ -1780,7 +1534,5 @@ class CCQQuantizer:
             probe_forward_passes=self.probe_forward_passes,
             probe_cache_hits=self.probe_engine.cache_hits,
             probe_cache_misses=self.probe_engine.cache_misses,
-            qweight_cache_hits=qweight_hits,
-            qweight_cache_misses=qweight_misses,
             fanout_stats=self._fanout_stats(),
         )

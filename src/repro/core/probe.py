@@ -329,7 +329,7 @@ class ProbeEngine:
 
         Prefetched losses are *not* observations yet: counters,
         telemetry and journals only move when the competition actually
-        asks for a candidate, so a speculative evaluation the Hedge
+        asks for a candidate, so a fan-out evaluation the Hedge
         loop never draws leaves no trace in the trajectory-adjacent
         accounting.  Prefetched entries survive ``memoize=False`` (they
         are served repeatedly), and are dropped at ``begin_step``.

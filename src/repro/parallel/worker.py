@@ -148,7 +148,6 @@ def worker_main(
     from ..core.training import evaluate
     from ..nn.serialization import load_state_arrays
     from ..quantization.qmodules import (
-        invalidate_weight_cache,
         quantized_layers,
         set_bit_config,
     )
@@ -210,9 +209,6 @@ def worker_main(
                 load_state_arrays(model, state)
                 del state, views
                 set_bit_config(model, bit_config)
-                # The sync rewrote the weights in place; any quantized
-                # weights cached during the previous step are stale.
-                invalidate_weight_cache(model)
                 # Mirror load_checkpoint: the synced state carries the
                 # trained quantizer values, so statistics-initializing
                 # quantizers must not re-derive them on first forward.
@@ -302,7 +298,6 @@ def worker_main(
                         load_state_arrays(model, state)
                         del state
                         set_bit_config(model, bit_config)
-                        invalidate_weight_cache(model)
                         for layer in layers.values():
                             for quantizer in (
                                 layer.weight_quantizer, layer.act_quantizer

@@ -328,10 +328,6 @@ def fold_batchnorm(
         else:
             conv.bias.data[...] = new_bias
         _replace_module(folded, bn, Identity())
-    # Folding rewrote shadow weights; stale cached quantized weights
-    # must not survive into the compile pass.
-    for _, qlayer in quantized_layers(folded):
-        qlayer._wq_cache.clear()
     return folded
 
 

@@ -312,14 +312,9 @@ class RunMonitor:
             recover_bits.append(
                 f"allreduce-round={s.recover_allreduce_round:g}"
             )
-        for key, label in (
-            ("ccq.spec_probe_hits", "spec-hits"),
-            ("ccq.spec_probe_discarded", "spec-discarded"),
-            ("ccq.recover_pool_fallbacks", "fallbacks"),
-        ):
-            value = s.counters.get(key)
-            if value:
-                recover_bits.append(f"{label}={value:g}")
+        fallbacks = s.counters.get("ccq.recover_pool_fallbacks")
+        if fallbacks:
+            recover_bits.append(f"fallbacks={fallbacks:g}")
         if recover_bits:
             lines.append("recover fan-out: " + "  ".join(recover_bits))
         resilience: List[str] = []

@@ -24,7 +24,6 @@ from repro.quantization import quantize_model
 from repro.telemetry import Telemetry
 
 from .fault_injection import WorkerFaultInjector
-from .test_chaos import counters
 from .test_parallel_invariance import journal_payload, probe_trace
 from .test_probe_determinism import make_config, trajectory
 
@@ -273,39 +272,3 @@ class TestRecoveryFallback:
 
         assert trajectory(result) == trajectory(ref_result)
         assert weight_bytes(net) == weight_bytes(reference.model)
-
-
-class TestSpeculativePipelining:
-    def test_pipeline_is_trajectory_and_journal_neutral(
-        self, run_factory, tmp_path
-    ):
-        runs = {}
-        hits = {}
-        for pipeline in (False, True):
-            net, train, val = run_factory()
-            telemetry = Telemetry.create(log_level="silent")
-            quantizer = CCQQuantizer(
-                net, train, val,
-                config=make_config(
-                    tmp_path / f"ckpt-{pipeline}",
-                    max_steps=3, probe_workers=2,
-                    probe_pipeline=pipeline,
-                ),
-                telemetry=telemetry,
-            )
-            result = quantizer.run()
-            telemetry.close()
-            assert not quantizer._pool_failed
-            runs[pipeline] = (
-                trajectory(result),
-                probe_trace(result),
-                journal_payload(quantizer.store.journal),
-            )
-            hits[pipeline] = counters(telemetry).get(
-                "ccq.spec_probe_hits", 0
-            )
-
-        assert runs[True] == runs[False]
-        # The pipelined run really speculated; the plain run never did.
-        assert hits[True] > 0
-        assert hits[False] == 0

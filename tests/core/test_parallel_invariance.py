@@ -301,7 +301,7 @@ class TestConfigSurface:
 
     def test_parallel_knobs_absent_from_fingerprint(self, run_factory,
                                                     tmp_path):
-        """probe_workers / qweight_cache / the supervision knobs are
+        """probe_workers / the supervision knobs are
         trajectory-invariant, so flipping them must not invalidate a
         checkpoint."""
         ckpt = tmp_path / "ckpt"
@@ -314,7 +314,6 @@ class TestConfigSurface:
         flipped = CCQQuantizer(
             net, train, val,
             config=make_config(ckpt, probe_workers=2,
-                               qweight_cache=False,
                                probe_timeout=42.0,
                                pool_respawn_budget=3,
                                pool_repromote_after=9),

@@ -77,6 +77,26 @@ class TestRunCCQ:
         printed = capsys.readouterr().out
         assert "block granularity" in printed
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--probe-workers", "-1"),
+        ("--recover-workers", "-2"),
+        ("--recover-grad-shards", "0"),
+        ("--probe-timeout", "0"),
+        ("--probe-timeout", "-3.5"),
+        ("--probe-workers", "two"),
+    ])
+    def test_bad_pool_arguments_are_usage_errors(self, capsys, flag, value):
+        """Rejected at parse time: exit 2 before any pretraining."""
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run-ccq", "--scale", "micro", "--recover-trainer", "ddp",
+                flag, value,
+            ])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}" in captured.err
+        assert "pretraining" not in captured.out + captured.err
+
     def test_probe_timeout_flag_reaches_the_config(self, capsys):
         code = main([
             "run-ccq",

@@ -120,6 +120,49 @@ class TestKillAndResume:
         result = second.run(resume=True)
         assert [r.step for r in result.records] == list(range(8))
 
+    def test_resume_ignores_legacy_state_keys(self, run_factory, tmp_path):
+        """A state.json written by an older version carries counter keys
+        this version no longer knows (those of the removed quantized-
+        weight cache); resume must ignore them and continue the
+        reference trajectory exactly."""
+        import json
+
+        from repro.core.runstate import RunStateStore
+
+        ckpt = tmp_path / "ckpt"
+        net, train, val = run_factory()
+        reference = CCQQuantizer(
+            net, train, val, config=make_config(max_steps=4)
+        ).run()
+
+        net, train, val = run_factory()
+        CCQQuantizer(
+            net, train, val, config=make_config(ckpt, max_steps=2)
+        ).run()
+        state_path = ckpt / "state.json"
+        payload = json.loads(state_path.read_text())
+        legacy_keys = [f"qweight_{k}" for k in ("cache_hits", "cache_misses")]
+        for key in legacy_keys:
+            payload[key] = 17
+        payload[RunStateStore.STATE_DIGEST_KEY] = (
+            RunStateStore._payload_digest(payload)
+        )
+        state_path.write_text(json.dumps(payload))
+
+        net, train, val = run_factory()
+        resumed = CCQQuantizer(
+            net, train, val, config=make_config(ckpt, max_steps=4)
+        )
+        result = resumed.run(resume=True)
+
+        assert resumed.store.load_warnings == []
+        assert step_log(result) == step_log(reference)
+        assert result.bit_config == reference.bit_config
+        assert result.final_eval.accuracy == reference.final_eval.accuracy
+        assert result.final_eval.loss == reference.final_eval.loss
+        saved = json.loads(state_path.read_text())
+        assert not set(legacy_keys) & set(saved)
+
     def test_resume_with_mismatched_config_is_rejected(
         self, run_factory, tmp_path
     ):

@@ -5,6 +5,7 @@ import pytest
 
 from repro import models, nn
 from repro.nn import functional as F
+from repro.nn.autograd import no_grad
 from repro.nn.tensor import Tensor
 from repro.quantization import (
     QuantConv2d,
@@ -146,6 +147,27 @@ class TestQuantizedForward:
         opt.step()
         loss2 = F.cross_entropy(net(x), y)
         assert np.isfinite(loss2.item())
+
+    def test_no_grad_forward_initializes_lsq_step(self, rng):
+        """LSQ derives its step size on the first forward; the fused
+        no-grad conv path must run that initialization exactly like the
+        grad-mode quantize + conv2d path."""
+        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
+        inferred_net, trained_net = (
+            quantize_model(small_net(), "lsq") for _ in range(2)
+        )
+        set_uniform_bits(inferred_net, 4, 4)
+        set_uniform_bits(trained_net, 4, 4)
+        with no_grad():
+            inferred = inferred_net(x).data
+        trained = trained_net(x).data
+        np.testing.assert_array_equal(inferred, trained)
+        for (_, a), (_, b) in zip(quantized_layers(inferred_net),
+                                  quantized_layers(trained_net)):
+            assert a.weight_quantizer._initialized
+            np.testing.assert_array_equal(
+                a.weight_quantizer.step.data, b.weight_quantizer.step.data
+            )
 
     def test_quantized_weight_accessor(self, rng):
         net = quantize_model(small_net(), "dorefa")
