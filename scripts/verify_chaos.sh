@@ -11,6 +11,10 @@
 #      trajectory + journal, >=1 respawn and >=1 salvaged result
 #   3. corrupt the newest checkpoint archive, resume -> rollback to the
 #      predecessor, reference trajectory reproduced
+#   4. DDP recovery with every pool round a shard round (no probe
+#      workers, 2 recover workers), a worker kill + a hang injected ->
+#      trajectory + journal identical to the in-process-shard run,
+#      >=1 respawn
 #
 # Finishes in a few minutes on one CPU.  Fails if stderr shows a
 # resource_tracker KeyError for a shared-memory segment.
@@ -118,12 +122,12 @@ def counter(telemetry, name):
     )
 
 
-print("== 1/3 serial reference run ==")
+print("== 1/4 serial reference run ==")
 net, train, val = build()
 serial_q = CCQQuantizer(net, train, val, config=config(work / "serial"))
 serial = serial_q.run()
 
-print("== 2/3 chaos run: 4 workers, injected kills + a hang ==")
+print("== 2/4 chaos run: 4 workers, injected kills + a hang ==")
 worker_mod.FAULT_HOOK = WorkerFaultInjector(
     work / "faults",
     kill_on={(0, 0), (1, 2)},
@@ -154,7 +158,7 @@ assert journal_payload(chaos_q.store.journal) == journal_payload(
 print(f"OK: trajectory + journal bit-identical under chaos "
       f"({respawns:g} respawns, {salvaged:g} salvaged results)")
 
-print("== 3/3 corrupted checkpoint: digest rejection + rollback ==")
+print("== 3/4 corrupted checkpoint: digest rejection + rollback ==")
 ckpt = work / "rollback"
 net, train, val = build()
 CCQQuantizer(net, train, val, config=config(ckpt, max_steps=3)).run()
@@ -180,6 +184,46 @@ assert trajectory(resumed) == trajectory(serial), \
     "resume after rollback diverged from the reference"
 print("OK: flipped byte rejected, rolled back to the predecessor, "
       "reference trajectory reproduced")
+
+print("== 4/4 shard-round chaos: DDP recovery, kill + hang ==")
+ddp = dict(recovery=RecoveryConfig(mode="manual", epochs=1,
+                                   use_hybrid_lr=False, trainer="ddp",
+                                   grad_shards=4))
+net, train, val = build()
+shards_q = CCQQuantizer(net, train, val,
+                        config=config(work / "ddp0", **ddp))
+shards = shards_q.run()
+
+worker_mod.FAULT_HOOK = WorkerFaultInjector(
+    work / "ddp-faults",
+    kill_on={(0, 1)},
+    hang_on={(1, 3)},
+    hang_seconds=60.0,
+)
+net, train, val = build()
+telemetry = Telemetry.create(log_level="silent")
+chaos_q = CCQQuantizer(
+    net, train, val,
+    config=config(work / "ddp2", probe_workers=0, recover_workers=2,
+                  probe_timeout=2.0, **ddp),
+    telemetry=telemetry,
+)
+chaos = chaos_q.run()
+telemetry.close()
+worker_mod.FAULT_HOOK = None
+
+respawns = counter(telemetry, "ccq.pool_respawns")
+assert respawns >= 1, f"expected >=1 worker respawn, saw {respawns}"
+assert counter(telemetry, "ccq.recover_pool_fallbacks") == 0, \
+    "shard rounds degraded to in-process"
+assert not chaos_q._ddp_trainer.degraded, "DDP trainer degraded"
+assert trajectory(chaos) == trajectory(shards), \
+    "shard-round chaos trajectory differs from in-process shards"
+assert journal_payload(chaos_q.store.journal) == journal_payload(
+    shards_q.store.journal
+), "shard-round chaos journal differs from in-process shards"
+print(f"OK: DDP trajectory + journal bit-identical under shard-round "
+      f"chaos ({respawns:g} respawns)")
 EOF
 }
 { main 2>&1 1>&3 3>&- | tee "$STDERR_LOG" >&2; } 3>&1

@@ -222,11 +222,6 @@ def _cmd_run_ccq(args: argparse.Namespace) -> int:
         log.info(f"baseline accuracy: {baseline:.3f}")
 
         train, val = task.loaders()
-        if args.prefetch:
-            # One-batch lookahead for the collaboration-stage training
-            # loader.  The synthetic tasks are transform-free, so this
-            # is exactly RNG-neutral (see nn.data.DataLoader).
-            train.prefetch = True
         config = CCQConfig(
             ladder=DEFAULT_LADDER,
             probes_per_step=args.probes,
@@ -667,12 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
              "reference).  Trajectory-invariant (fingerprint-excluded): "
              "all backends are bit-identical, so this only changes "
              "speed",
-    )
-    p_run.add_argument(
-        "--prefetch", action="store_true",
-        help="assemble training batches one batch ahead on a "
-             "background thread during collaboration (RNG-neutral for "
-             "the built-in transform-free tasks)",
     )
     p_run.add_argument(
         "--max-retries", type=int, default=2,

@@ -101,6 +101,13 @@ BitTarget = Optional[int]
 # exponential-weights update stays well defined.
 PROBE_DIVERGENCE_PENALTY = 1e3
 
+# Pool supervision (trajectory-invariant, so neither is configurable or
+# fingerprinted): total worker respawns allowed before the pool is
+# declared beyond saving and the run degrades to serial, and the clean
+# serial steps after which a degraded pool gets another chance.
+POOL_RESPAWN_BUDGET = 8
+POOL_REPROMOTE_AFTER = 4
+
 
 @dataclass(frozen=True)
 class CCQConfig:
@@ -171,14 +178,6 @@ class CCQConfig:
     # this is trajectory-invariant and NOT part of the resume
     # fingerprint.
     probe_timeout: Optional[float] = None
-    # Total worker respawns allowed before the pool is declared beyond
-    # saving and the run degrades to serial probing.  Fingerprint-
-    # excluded (supervision is invisible to the trajectory).
-    pool_respawn_budget: int = 8
-    # After degrading to serial, retry the pool once this many clean
-    # steps have passed (0 disables re-promotion — degraded stays
-    # degraded, the pre-supervision behaviour).  Fingerprint-excluded.
-    pool_repromote_after: int = 4
     # -- resilience ------------------------------------------------------
     # Directory for the run journal + atomic checkpoints (None disables
     # both; the run is then neither resumable nor crash-safe).
@@ -358,7 +357,7 @@ class CCQQuantizer:
         self._pool: Optional[Any] = None
         self._pool_failed = False
         # Serial steps since the pool degraded; once it reaches
-        # pool_repromote_after the pool gets another chance.
+        # POOL_REPROMOTE_AFTER the pool gets another chance.
         self._pool_clean_steps = 0
         # The supervision layer (deadlines, respawn, salvage,
         # quarantine) lives for the whole run so its EMA, quarantine
@@ -681,7 +680,7 @@ class CCQQuantizer:
             self._supervisor = PoolSupervisor(
                 SupervisionConfig(
                     probe_timeout=self.config.probe_timeout,
-                    respawn_budget=self.config.pool_respawn_budget,
+                    respawn_budget=POOL_RESPAWN_BUDGET,
                 ),
                 telemetry=self.telemetry,
             )
@@ -737,7 +736,7 @@ class CCQQuantizer:
         self.telemetry.logger.warning(
             "probe pool degraded; falling back to serial probes",
             step=step, reason=reason,
-            repromote_after=self.config.pool_repromote_after,
+            repromote_after=POOL_REPROMOTE_AFTER,
         )
 
     def _fan_out_probes(self, step: int) -> None:
@@ -767,11 +766,7 @@ class CCQQuantizer:
             # deserves another chance (transient faults — an OOM kill,
             # a node hiccup — should not demote a long run forever).
             self._pool_clean_steps += 1
-            if (
-                self.config.pool_repromote_after <= 0
-                or self._pool_clean_steps
-                < self.config.pool_repromote_after
-            ):
+            if self._pool_clean_steps < POOL_REPROMOTE_AFTER:
                 return
             self._pool_failed = False
             self._pool_clean_steps = 0
@@ -781,7 +776,7 @@ class CCQQuantizer:
             self.telemetry.logger.info(
                 "re-promoting probe pool after serial cooldown",
                 step=step,
-                cooldown_steps=self.config.pool_repromote_after,
+                cooldown_steps=POOL_REPROMOTE_AFTER,
             )
         candidates = self._probe_candidates()
         if len(candidates) < 2:

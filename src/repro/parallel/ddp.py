@@ -272,7 +272,6 @@ class DDPTrainer:
         # several shards of it.
         self._batch_seq = 0
         self._owned_pool: Optional[Any] = None
-        self._owned_supervisor: Optional[Any] = None
 
     # -- standalone construction (benchmarks, scripts, tests) ---------------
 
@@ -309,7 +308,6 @@ class DDPTrainer:
             telemetry=telemetry,
         )
         trainer._owned_pool = pool
-        trainer._owned_supervisor = supervisor
         return trainer
 
     def close(self) -> None:

@@ -22,9 +22,7 @@ the pool exposes the primitives a supervisor needs to heal them —
 the cached broadcast), :meth:`submit`/:meth:`next_message` for
 salvage-aware collection, and generation-tagged results so a stale
 answer from an aborted round can never be mistaken for a fresh one.
-The legacy one-shot :meth:`evaluate_candidates` keeps the old
-all-or-nothing semantics (any fault raises :class:`PoolError`); the
-supervised path lives in :mod:`repro.parallel.supervisor`.
+Every round goes through :mod:`repro.parallel.supervisor`.
 
 Result channel: each worker writes its messages synchronously into its
 own one-way pipe, and the parent multiplexes the read ends with
@@ -102,8 +100,8 @@ class ProbeWorkerPool:
         Mirror of ``CCQConfig.quantize_activations`` — whether a probe
         steps ``a_bits`` together with ``w_bits``.
     result_timeout:
-        Per-wait timeout of the legacy :meth:`evaluate_candidates` path
-        (the supervised path computes its own adaptive deadlines).
+        How long a broadcast waits for the workers' sync acks (task
+        results run under the supervisor's adaptive deadlines).
     telemetry:
         Structured-log sink for worker lifecycle events (exit codes at
         close, respawn handshakes).  Defaults to the no-op singleton.
@@ -406,7 +404,7 @@ class ProbeWorkerPool:
         self, arrays: Dict[str, np.ndarray]
     ) -> Tuple[str, Any]:
         """Stage one recovery batch (state + shard slices) in shared
-        memory; returns ``(segment name, manifest)`` for ``rtrain``
+        memory; returns ``(segment name, manifest)`` for ``"rtrain"``
         submissions.
 
         Unlike :meth:`broadcast` there is no sync ack: workers read the
@@ -419,35 +417,6 @@ class ProbeWorkerPool:
             raise PoolError("probe pool is closed")
         name, manifest, _ = self._train_store.ensure(arrays)
         return name, manifest
-
-    def submit_train(
-        self,
-        worker_id: int,
-        shard_id: int,
-        name: str,
-        manifest: Any,
-        bit_config: Dict[str, Tuple[Optional[int], Optional[int]]],
-        batch_seq: int,
-        batch_total: int,
-        trace: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Queue one recovery shard on a specific worker.
-
-        ``batch_seq`` keys the worker-side state reload: a worker
-        running several shards of the same batch loads the broadcast
-        weights once.
-        """
-        if self._closed:
-            raise PoolError("probe pool is closed")
-        message: Tuple[Any, ...] = (
-            "rtrain", self._eval_gen, batch_seq, name, manifest,
-            bit_config, shard_id, batch_total,
-        )
-        if trace is not None:
-            stamped = dict(trace)
-            stamped["submitted_ts"] = time.time()
-            message = message + (stamped,)
-        self._command_queues[worker_id].put(message)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -463,29 +432,36 @@ class ProbeWorkerPool:
     def submit(
         self,
         worker_id: int,
+        kind: str,
         task_id: int,
-        layer_names: Sequence[str],
-        bits: int,
+        payload: Tuple[Any, ...],
         trace: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Queue one candidate evaluation on a specific worker.
+        """Queue one task on a specific worker.
+
+        ``kind`` is ``"eval"`` (``payload = (layer_names, bits)``, one
+        candidate evaluation over the broadcast pinned batches) or
+        ``"rtrain"`` (``payload = (batch_seq, segment name, manifest,
+        bit_config, batch_total)``, one recovery shard of a
+        :meth:`train_broadcast`; ``batch_seq`` keys the worker-side
+        state reload, so a worker running several shards of one batch
+        loads its weights once).
 
         ``trace`` is an optional cross-process trace context (the
-        parent's fan-out span id and step).  The submit wall clock is
+        parent's round span id and step).  The submit wall clock is
         stamped here — ``time.time()`` is the only clock both sides of
         the fork share — so the worker can report how long the command
         sat in the queue before compute started.
         """
         if self._closed:
             raise PoolError("probe pool is closed")
-        message: Tuple[Any, ...] = (
-            "eval", self._eval_gen, task_id, list(layer_names), bits,
-        )
+        stamped = None
         if trace is not None:
             stamped = dict(trace)
             stamped["submitted_ts"] = time.time()
-            message = message + (stamped,)
-        self._command_queues[worker_id].put(message)
+        self._command_queues[worker_id].put(
+            (kind, self._eval_gen, task_id, payload, stamped)
+        )
 
     def _queue_get(self, timeout: float) -> Optional[Any]:
         """The next message read off the result pipes, or None on
@@ -520,53 +496,6 @@ class ProbeWorkerPool:
         if self._stash:
             return self._stash.popleft()
         return self._queue_get(timeout=timeout)
-
-    def evaluate_candidates(
-        self,
-        tasks: Sequence[ProbeTask],
-        timeout: Optional[float] = None,
-    ) -> Dict[Hashable, Dict[str, Any]]:
-        """Fan ``tasks`` across the workers; return outcomes by key.
-
-        The legacy all-or-nothing path: each outcome dict carries
-        ``status`` (``"ok"`` | ``"diverged"``), ``loss`` or divergence
-        context fields, ``elapsed`` seconds and the evaluating
-        ``worker`` id.  A worker-side non-divergence error, a dead
-        worker or a timeout raises :class:`PoolError` (no salvage — use
-        :class:`~repro.parallel.supervisor.PoolSupervisor` for that).
-        """
-        self._check_alive()
-        wait = self.result_timeout if timeout is None else timeout
-        gen = self.begin_round()
-        for i, (key, layer_names, bits) in enumerate(tasks):
-            self.submit(i % self.n_workers, i, layer_names, bits)
-        outcomes: Dict[Hashable, Dict[str, Any]] = {}
-        pending = len(tasks)
-        while pending:
-            message = self.next_message(timeout=wait)
-            if message is None:
-                dead = [
-                    self._workers[w].name for w in self.dead_workers()
-                ]
-                detail = f"; dead workers: {dead}" if dead else ""
-                raise PoolError(
-                    f"timed out waiting for probe worker eval "
-                    f"result{detail}"
-                )
-            if message[0] != "result":
-                continue  # late sync ack; harmless
-            outcome = message[1]
-            if outcome.get("gen") not in (None, gen):
-                continue  # stale result from an aborted round
-            if outcome["status"] == "error":
-                raise PoolError(
-                    f"probe worker {outcome['worker']} failed: "
-                    f"{outcome['message']}"
-                )
-            key = tasks[int(outcome["task_id"])][0]
-            outcomes[key] = outcome
-            pending -= 1
-        return outcomes
 
     # -- plumbing ------------------------------------------------------------
 

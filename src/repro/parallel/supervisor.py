@@ -1,39 +1,47 @@
-"""Supervision layer for the probe worker pool: self-healing fan-out.
+"""Supervision layer for the worker pool: self-healing rounds.
 
 The plain :class:`~repro.parallel.pool.ProbeWorkerPool` treats every
-mid-run fault as fatal-to-the-pool: one dead worker, one hung
-evaluation or one malformed result used to throw away the whole step's
-fan-out and demote the run to serial probing forever.  For a
-multi-hour CCQ campaign that is far too blunt — the serial path is
-bit-identical but much slower, and most faults are transient.
+mid-run fault as fatal-to-the-pool: one dead worker, one hung task or
+one malformed result would throw away the whole round and demote the
+run to in-process work forever.  For a multi-hour CCQ campaign that is
+far too blunt — the in-process path is bit-identical but much slower,
+and most faults are transient.
 
-:class:`PoolSupervisor` wraps each fan-out round with:
+:class:`PoolSupervisor` runs every pool round — a competition step's
+probe fan-out (task kind ``eval``) or a recovery batch's gradient
+shards (task kind ``train``) — through one loop with:
 
-* **adaptive per-task deadlines** — derived from the pinned-batch count
-  times a measured per-batch EMA of healthy evaluations (``U`` batches
-  at 50 ms should not wait the 120 s a hardcoded timeout allows), with
-  an explicit ``probe_timeout`` override for operators who know better;
+* **adaptive per-task deadlines** — a measured per-kind EMA of healthy
+  task time (per pinned batch for a probe, per shard for a recovery
+  shard) times a safety factor (``U`` batches at 50 ms should not wait
+  the 120 s a hardcoded timeout allows), with an explicit
+  ``probe_timeout`` override for operators who know better;
 * **worker health monitoring and respawn** — a worker that dies (or
   hangs past the deadline) is terminated, re-forked, re-handshaken and
-  re-synced from the cached broadcast, under a bounded respawn budget
-  with exponential backoff;
+  re-synced from the cached broadcast, under one bounded respawn
+  budget with exponential backoff;
 * **partial-result salvage** — results already delivered by healthy
-  workers are *kept*; in-flight candidates of the faulted worker are
+  workers are *kept*; in-flight tasks of the faulted worker are
   requeued once onto the survivors, and whatever is still missing at
-  the end of the round simply evaluates serially inside the Hedge loop
-  (the probe engine treats an absent prefetch exactly like a serial
-  run, so the trajectory is untouched);
-* **candidate quarantine** — a candidate observed in flight across
-  repeated worker crashes is assumed to be the trigger; it is never
-  fanned out again and evaluates once on the serial path instead.
+  the end of the round runs in-process (a probe serially inside the
+  Hedge loop, a shard in the trainer's salvage pass), so the
+  trajectory is untouched;
+* **candidate quarantine** (probes only) — a candidate observed in
+  flight across repeated worker crashes is assumed to be the trigger;
+  it is never fanned out again and evaluates once on the serial path
+  instead.
+
+The two kinds differ only in data: the schema validator and whether
+crashes count toward quarantine (:class:`_TaskKind`), and the resubmit
+function and EMA unit each round carries (:class:`PendingRound`).
 
 None of this is trajectory-relevant: supervision only decides *where*
-a loss is computed, never *what* loss the competition observes, so the
-bit-identical-to-serial contract of ``docs/parallel.md`` holds under
-arbitrary worker faults.  The caller reads :class:`FanOutReport` to
-account respawns/salvage/quarantine in telemetry and to decide when
-the budget is exhausted and the run should degrade to serial (and
-later re-promote; see ``CCQQuantizer._fan_out_probes``).
+a loss or gradient is computed, never *what* the search observes, so
+the bit-identical-to-serial contract of ``docs/parallel.md`` holds
+under arbitrary worker faults.  The caller reads :class:`FanOutReport`
+to account respawns/salvage/quarantine in telemetry and to decide when
+the budget is exhausted and the run should degrade (and later
+re-promote; see ``CCQQuantizer._fan_out_probes``).
 """
 
 from __future__ import annotations
@@ -41,7 +49,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Set
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+)
 
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .pool import PoolError, ProbeTask, ProbeWorkerPool
@@ -170,55 +187,76 @@ def train_outcome_problem(outcome: Any) -> Optional[str]:
     return None
 
 
+@dataclass(frozen=True)
+class _TaskKind:
+    """What sets one kind of pool task apart; the round loop is shared."""
+
+    # Key of the kind's deadline EMA.
+    name: str
+    # What a task is called in fault descriptions.
+    noun: str
+    # Schema validator: a description of what is wrong, or None.
+    problem: Callable[[Any], Optional[str]]
+    # Whether crashes count toward quarantine.  Probe candidates do; a
+    # recovery shard is a position in a batch, not a candidate, and
+    # banning one would only move work around for no diagnostic gain.
+    quarantine: bool
+
+
+_PROBE = _TaskKind("eval", "candidate", outcome_problem, quarantine=True)
+_SHARD = _TaskKind("train", "shard", train_outcome_problem, quarantine=False)
+
+
 class _InFlight:
     """One submitted task awaiting its result."""
 
-    __slots__ = ("key", "layer_names", "bits", "worker", "requeued")
+    __slots__ = ("key", "worker", "requeued")
 
-    def __init__(
-        self, key: Hashable, layer_names: Sequence[str], bits: int,
-        worker: int,
-    ) -> None:
+    def __init__(self, key: Hashable, worker: int) -> None:
         self.key = key
-        self.layer_names = list(layer_names)
-        self.bits = bits
         self.worker = worker
         self.requeued = False
 
 
 class PendingRound:
-    """A fan-out round that has been submitted but not yet collected.
+    """A round that has been submitted but not yet collected.
 
     The handle :meth:`PoolSupervisor.start_round` hands to
     :meth:`PoolSupervisor.collect_round`.  The deadline *duration* is
     fixed at start time, but its clock starts at collect time.
+    ``resubmit(worker_id, task_id)`` sends one task (again, on a
+    requeue); ``units`` is what the kind's EMA is measured per (the
+    pinned batches of a probe, 1 for a shard).
     """
 
-    __slots__ = ("gen", "pending", "report", "n_batches", "trace")
+    __slots__ = ("gen", "pending", "report", "units", "kind", "resubmit")
 
     def __init__(
         self,
         gen: int,
         pending: Dict[int, _InFlight],
         report: FanOutReport,
-        n_batches: int,
-        trace: Optional[Dict[str, Any]],
+        units: int,
+        kind: _TaskKind,
+        resubmit: Callable[[int, int], None],
     ) -> None:
         self.gen = gen
         self.pending = pending
         self.report = report
-        self.n_batches = n_batches
-        self.trace = trace
+        self.units = units
+        self.kind = kind
+        self.resubmit = resubmit
 
 
 class PoolSupervisor:
     """Per-run supervisor: deadlines, respawns, salvage, quarantine.
 
-    One instance lives for the whole CCQ run (its EMA, quarantine set
+    One instance lives for the whole CCQ run (its EMAs, quarantine set
     and respawn budget span pool generations); each competition step's
     fan-out goes through :meth:`run_round` (submission in
     :meth:`start_round`, collection in :meth:`collect_round`), and each
-    data-parallel recovery batch through :meth:`run_train_round`.
+    data-parallel recovery batch through :meth:`run_train_round` — the
+    same supervised round over the other task kind.
     """
 
     def __init__(
@@ -230,90 +268,57 @@ class PoolSupervisor:
         self.telemetry = (
             telemetry if telemetry is not None else NULL_TELEMETRY
         )
-        self._ema_batch_s: Optional[float] = None
-        # Per-shard EMA of recovery-train rounds (a shard's scaled
+        # Per-kind EMA of healthy task time per unit (a shard's scaled
         # forward/backward has a very different cost profile from a
         # probe evaluation, so the two deadlines adapt independently).
-        self._ema_train_s: Optional[float] = None
+        self._ema: Dict[str, float] = {}
         self.respawns_used = 0
         self._crash_counts: Dict[Hashable, int] = {}
         self._quarantined: Set[Hashable] = set()
         # Workers whose respawn failed for good (budget or repeated
         # failure): excluded from sweeps until the pool is rebuilt.
         self._written_off: Set[int] = set()
-        # Trace context of the round in flight, so requeues carry the
-        # same cross-process parentage as the original submit.
-        self._round_trace: Optional[Dict[str, Any]] = None
 
     # -- deadline policy -----------------------------------------------------
 
     @property
     def ema_batch_s(self) -> Optional[float]:
-        """Measured per-batch evaluation time (EMA), if any yet."""
-        return self._ema_batch_s
+        """Measured per-batch probe evaluation time (EMA), if any yet."""
+        return self._ema.get(_PROBE.name)
 
-    def observe_elapsed(self, elapsed: float, n_batches: int) -> None:
-        """Feed one healthy evaluation's wall clock into the EMA."""
-        if elapsed <= 0 or n_batches <= 0:
+    def observe_elapsed(
+        self, elapsed: float, units: int, kind: str = _PROBE.name
+    ) -> None:
+        """Feed one healthy task's wall clock into its kind's EMA."""
+        if elapsed <= 0 or units <= 0:
             return
-        per_batch = elapsed / n_batches
-        if self._ema_batch_s is None:
-            self._ema_batch_s = per_batch
+        per_unit = elapsed / units
+        previous = self._ema.get(kind)
+        if previous is None:
+            self._ema[kind] = per_unit
         else:
             alpha = self.config.ema_alpha
-            self._ema_batch_s = (
-                alpha * per_batch + (1.0 - alpha) * self._ema_batch_s
-            )
+            self._ema[kind] = alpha * per_unit + (1.0 - alpha) * previous
 
-    def task_deadline_s(self, n_batches: int) -> float:
-        """Deadline for a single candidate evaluation."""
+    def task_deadline_s(self, units: int, kind: str = _PROBE.name) -> float:
+        """Deadline for a single task of ``units`` EMA units."""
         cfg = self.config
         if cfg.probe_timeout is not None:
             return cfg.probe_timeout
-        if self._ema_batch_s is None:
+        ema = self._ema.get(kind)
+        if ema is None:
             return cfg.startup_timeout
-        derived = max(1, n_batches) * self._ema_batch_s * cfg.deadline_safety
+        derived = max(1, units) * ema * cfg.deadline_safety
         return min(max(derived, cfg.deadline_floor), cfg.deadline_ceiling)
 
     def round_deadline_s(
-        self, n_tasks: int, n_batches: int, n_workers: int
+        self, n_tasks: int, units: int, n_workers: int,
+        kind: str = _PROBE.name,
     ) -> float:
-        """Deadline for a whole fan-out round (tasks run ``n_workers``-wide)."""
-        per_task = self.task_deadline_s(n_batches)
+        """Deadline for a whole round (tasks run ``n_workers``-wide)."""
+        per_task = self.task_deadline_s(units, kind)
         waves = math.ceil(n_tasks / max(1, n_workers))
         return per_task * max(1, waves)
-
-    @property
-    def ema_train_s(self) -> Optional[float]:
-        """Measured per-shard recovery compute time (EMA), if any yet."""
-        return self._ema_train_s
-
-    def observe_train_elapsed(self, elapsed: float) -> None:
-        """Feed one healthy shard's wall clock into the train EMA."""
-        if elapsed <= 0:
-            return
-        if self._ema_train_s is None:
-            self._ema_train_s = elapsed
-        else:
-            alpha = self.config.ema_alpha
-            self._ema_train_s = (
-                alpha * elapsed + (1.0 - alpha) * self._ema_train_s
-            )
-
-    def train_task_deadline_s(self) -> float:
-        """Deadline for a single recovery shard."""
-        cfg = self.config
-        if cfg.probe_timeout is not None:
-            return cfg.probe_timeout
-        if self._ema_train_s is None:
-            return cfg.startup_timeout
-        derived = self._ema_train_s * cfg.deadline_safety
-        return min(max(derived, cfg.deadline_floor), cfg.deadline_ceiling)
-
-    def train_round_deadline_s(self, n_shards: int, n_workers: int) -> float:
-        """Deadline for one batch's shard round."""
-        waves = math.ceil(n_shards / max(1, n_workers))
-        return self.train_task_deadline_s() * max(1, waves)
 
     # -- quarantine ----------------------------------------------------------
 
@@ -324,8 +329,10 @@ class PoolSupervisor:
     def is_quarantined(self, key: Hashable) -> bool:
         return key in self._quarantined
 
-    def _count_crash(self, key: Hashable, report: FanOutReport) -> None:
-        if key in self._quarantined:
+    def _count_crash(
+        self, key: Hashable, report: FanOutReport, kind: _TaskKind
+    ) -> None:
+        if not kind.quarantine or key in self._quarantined:
             return
         count = self._crash_counts.get(key, 0) + 1
         self._crash_counts[key] = count
@@ -344,7 +351,7 @@ class PoolSupervisor:
         self.respawns_used = 0
         self._written_off.clear()
 
-    # -- the supervised round ------------------------------------------------
+    # -- the probe round -----------------------------------------------------
 
     def run_round(
         self,
@@ -388,41 +395,32 @@ class PoolSupervisor:
         The first half of :meth:`run_round`.  Returns ``None`` when
         nothing was fanned out (every task quarantined).
         """
-        report = FanOutReport()
-        self._round_trace = trace
         tasks = [t for t in tasks if t[0] not in self._quarantined]
         if not tasks:
             return None
-        report.attempted = len(tasks)
+        report = FanOutReport(attempted=len(tasks))
 
-        # 1. Heal anything already dead, then broadcast (retry once
-        #    after healing if the sync itself trips over a fault).
-        self._sweep_dead(pool, None, report)
+        # Heal anything already dead, then broadcast (retry once after
+        # healing if the sync itself trips over a fault).
+        self._sweep_dead(pool, report)
         try:
             pool.broadcast(state_arrays, bit_config, pinned_batches)
         except PoolError as err:
             report.faults.append(f"broadcast failed: {err}")
-            self._sweep_dead(pool, None, report)
+            self._sweep_dead(pool, report)
             if report.degraded:
                 raise
             pool.broadcast(state_arrays, bit_config, pinned_batches)
 
-        # 2. Submit round-robin over the live workers.
-        gen = pool.begin_round()
-        alive = pool.alive_workers()
-        if not alive:
-            raise PoolError("no live workers to fan out to")
-        pending: Dict[int, _InFlight] = {}
-        for i, (key, layer_names, bits) in enumerate(tasks):
-            worker = alive[i % len(alive)]
-            pool.submit(worker, i, layer_names, bits, trace=trace)
-            pending[i] = _InFlight(key, layer_names, bits, worker)
+        def resubmit(worker_id: int, task_id: int) -> None:
+            _, layer_names, bits = tasks[task_id]
+            pool.submit(worker_id, "eval", task_id,
+                        (list(layer_names), bits), trace=trace)
 
-        n_batches = len(pinned_batches)
-        report.deadline_s = self.round_deadline_s(
-            len(tasks), n_batches, len(alive)
+        return self._submit(
+            pool, _PROBE, {i: task[0] for i, task in enumerate(tasks)},
+            pool.alive_workers(), resubmit, len(pinned_batches), report,
         )
-        return PendingRound(gen, pending, report, n_batches, trace)
 
     def collect_round(
         self, pool: ProbeWorkerPool, started: PendingRound
@@ -432,47 +430,9 @@ class PoolSupervisor:
         The second half of :meth:`run_round`.  The deadline duration
         was fixed at :meth:`start_round`; its clock starts now.
         """
-        self._round_trace = started.trace
-        report = started.report
-        pending = started.pending
-        gen = started.gen
-        n_batches = started.n_batches
+        return self._collect(pool, started)
 
-        # 3. Collect until done or the adaptive deadline expires.
-        deadline = time.monotonic() + report.deadline_s
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            message = pool.next_message(timeout=min(0.1, remaining))
-            if message is not None and message[0] == "result":
-                self._absorb_result(
-                    pool, message[1], gen, pending, report, n_batches
-                )
-            self._sweep_dead(pool, pending, report)
-
-        # 4. Deadline expired with stragglers: the workers still holding
-        #    them are hung — recycle them, send the candidates serial.
-        if pending:
-            hung = sorted({entry.worker for entry in pending.values()})
-            report.faults.append(
-                f"round deadline ({report.deadline_s:.1f}s) expired; "
-                f"worker(s) {hung} hung with "
-                f"{len(pending)} candidate(s) in flight"
-            )
-            for entry in pending.values():
-                self._count_crash(entry.key, report)
-                report.missing.append(entry.key)
-            pending.clear()
-            for worker_id in hung:
-                self._recycle_worker(pool, worker_id, None, report)
-
-        report.completed = len(report.outcomes)
-        if report.faults:
-            report.salvaged = report.completed
-        return report
-
-    # -- the supervised train round ------------------------------------------
+    # -- the recovery-shard round --------------------------------------------
 
     def run_train_round(
         self,
@@ -487,179 +447,102 @@ class PoolSupervisor:
     ) -> "tuple[Dict[int, Dict[str, Any]], FanOutReport]":
         """One recovery batch's shard round under supervision.
 
-        Returns ``(outcomes by shard id, report)``.  The same healing
-        policy as probe rounds — dead workers respawned under the
-        shared budget, lost shards requeued once onto survivors — but
-        no quarantine: a missing shard is recomputed in-process by the
-        trainer (bit-identically), so there is never a reason to ban
-        one.  Divergent (non-finite) shard losses are valid results
-        here; the trainer's post-all-reduce guard judges them.
+        Returns ``(outcomes by shard id, report)``.  The probe round's
+        healing policy, without quarantine: a missing shard is
+        recomputed in-process by the trainer (bit-identically), so
+        there is never a reason to ban one.  Divergent (non-finite)
+        shard losses are valid results here; the trainer's
+        post-all-reduce guard judges them.
         """
-        report = FanOutReport()
-        report.attempted = len(shard_ids)
-        self._round_trace = trace
-        self._sweep_dead(pool, None, report)
+        report = FanOutReport(attempted=len(shard_ids))
+        self._sweep_dead(pool, report)
         name, manifest = pool.train_broadcast(arrays)
-        gen = pool.begin_round()
-        alive = pool.alive_workers()[: max(1, n_workers)]
-        if not alive:
-            raise PoolError("no live workers for the train round")
+        payload = (batch_seq, name, manifest, bit_config, batch_total)
 
         def resubmit(worker_id: int, shard_id: int) -> None:
-            pool.submit_train(
-                worker_id, shard_id, name, manifest, bit_config,
-                batch_seq, batch_total, trace=self._round_trace,
-            )
+            pool.submit(worker_id, "rtrain", shard_id, payload, trace=trace)
 
-        pending: Dict[int, _InFlight] = {}
-        for i, shard_id in enumerate(shard_ids):
-            worker = alive[i % len(alive)]
-            resubmit(worker, shard_id)
-            pending[shard_id] = _InFlight(shard_id, (), 0, worker)
-        report.deadline_s = self.train_round_deadline_s(
-            len(shard_ids), len(alive)
+        started = self._submit(
+            pool, _SHARD, {shard_id: shard_id for shard_id in shard_ids},
+            pool.alive_workers()[: max(1, n_workers)], resubmit, 1, report,
         )
+        report = self._collect(pool, started)
+        return report.outcomes, report
+
+    # -- the supervised round, both kinds ------------------------------------
+
+    def _submit(
+        self,
+        pool: ProbeWorkerPool,
+        kind: _TaskKind,
+        keys: Dict[int, Hashable],
+        workers: Sequence[int],
+        resubmit: Callable[[int, int], None],
+        units: int,
+        report: FanOutReport,
+    ) -> PendingRound:
+        """Submit ``keys`` (task id -> key) round-robin over ``workers``."""
+        gen = pool.begin_round()
+        if not workers:
+            raise PoolError("no live workers to fan out to")
+        pending: Dict[int, _InFlight] = {}
+        for i, (task_id, key) in enumerate(keys.items()):
+            worker = workers[i % len(workers)]
+            resubmit(worker, task_id)
+            pending[task_id] = _InFlight(key, worker)
+        report.deadline_s = self.round_deadline_s(
+            len(pending), units, len(workers), kind.name
+        )
+        return PendingRound(gen, pending, report, units, kind, resubmit)
+
+    def _collect(
+        self, pool: ProbeWorkerPool, started: PendingRound
+    ) -> FanOutReport:
+        """Collect until every task is answered or the deadline expires."""
+        report = started.report
+        pending = started.pending
         deadline = time.monotonic() + report.deadline_s
-        outcomes: Dict[int, Dict[str, Any]] = {}
         while pending:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
             message = pool.next_message(timeout=min(0.1, remaining))
             if message is not None and message[0] == "result":
-                self._absorb_train_result(
-                    pool, message[1], gen, pending, outcomes, report,
-                    resubmit,
-                )
-            self._sweep_train_dead(pool, pending, report, resubmit)
+                self._absorb(pool, started, message[1])
+            self._sweep_dead(pool, report, started)
+
+        # Deadline expired with stragglers: the workers still holding
+        # them are hung — recycle them, the tasks run in-process.
         if pending:
             hung = sorted({entry.worker for entry in pending.values()})
             report.faults.append(
-                f"train deadline ({report.deadline_s:.1f}s) expired; "
+                f"round deadline ({report.deadline_s:.1f}s) expired; "
                 f"worker(s) {hung} hung with "
-                f"{len(pending)} shard(s) in flight"
+                f"{len(pending)} {started.kind.noun}(s) in flight"
             )
             for entry in pending.values():
+                self._count_crash(entry.key, report, started.kind)
                 report.missing.append(entry.key)
             pending.clear()
             for worker_id in hung:
-                self._recycle_train_worker(pool, worker_id, None, report,
-                                           resubmit)
-        report.completed = len(outcomes)
+                self._recycle(pool, worker_id, report)
+
+        report.completed = len(report.outcomes)
         if report.faults:
             report.salvaged = report.completed
-        return outcomes, report
+        return report
 
-    def _absorb_train_result(
-        self,
-        pool: ProbeWorkerPool,
-        outcome: Any,
-        gen: int,
-        pending: Dict[int, _InFlight],
-        outcomes: Dict[int, Dict[str, Any]],
-        report: FanOutReport,
-        resubmit: Any,
+    def _absorb(
+        self, pool: ProbeWorkerPool, started: PendingRound, outcome: Any
     ) -> None:
-        if isinstance(outcome, dict) and outcome.get("gen") != gen:
+        if isinstance(outcome, dict) and outcome.get("gen") != started.gen:
             return  # stale result from an aborted earlier round
-        problem = train_outcome_problem(outcome)
+        kind = started.kind
+        pending = started.pending
+        report = started.report
+        problem = kind.problem(outcome)
         if problem is not None:
-            task_id = (
-                outcome.get("task_id") if isinstance(outcome, dict) else None
-            )
-            entry = pending.pop(task_id, None) if isinstance(
-                task_id, int
-            ) else None
-            worker = (
-                entry.worker if entry is not None
-                else outcome.get("worker") if isinstance(outcome, dict)
-                else None
-            )
-            report.faults.append(
-                f"corrupt train result from worker {worker}: {problem}"
-            )
-            if entry is not None:
-                report.missing.append(entry.key)
-            if isinstance(worker, int):
-                self._recycle_train_worker(pool, worker, pending, report,
-                                           resubmit)
-            return
-        entry = pending.pop(outcome["task_id"], None)
-        if entry is None:
-            return  # duplicate or already-requeued-and-answered
-        if outcome["status"] == "error":
-            report.faults.append(
-                f"worker {outcome.get('worker')} error on shard "
-                f"{entry.key}: {outcome.get('message')}"
-            )
-            report.missing.append(entry.key)
-            return
-        outcomes[entry.key] = outcome
-        self.observe_train_elapsed(float(outcome.get("elapsed", 0.0)))
-
-    def _sweep_train_dead(
-        self,
-        pool: ProbeWorkerPool,
-        pending: Dict[int, _InFlight],
-        report: FanOutReport,
-        resubmit: Any,
-    ) -> None:
-        for worker_id in pool.dead_workers():
-            if worker_id in self._written_off:
-                continue
-            report.faults.append(f"worker {worker_id} died")
-            self._recycle_train_worker(pool, worker_id, pending, report,
-                                       resubmit)
-
-    def _recycle_train_worker(
-        self,
-        pool: ProbeWorkerPool,
-        worker_id: int,
-        pending: Optional[Dict[int, _InFlight]],
-        report: FanOutReport,
-        resubmit: Any,
-    ) -> None:
-        """Respawn ``worker_id`` and requeue (once) its lost shards.
-
-        No crash counting: shards are positions in a batch, not
-        candidates — quarantining one would silently change which work
-        runs where forever, for no diagnostic gain.
-        """
-        lost = (
-            [tid for tid, e in pending.items() if e.worker == worker_id]
-            if pending else []
-        )
-        self._respawn(pool, worker_id, report)
-        if not pending:
-            return
-        alive = pool.alive_workers()
-        for i, tid in enumerate(lost):
-            entry = pending[tid]
-            if entry.requeued or not alive:
-                del pending[tid]
-                report.missing.append(entry.key)
-                continue
-            entry.requeued = True
-            entry.worker = alive[i % len(alive)]
-            resubmit(entry.worker, tid)
-            report.requeued += 1
-
-    # -- internals -----------------------------------------------------------
-
-    def _absorb_result(
-        self,
-        pool: ProbeWorkerPool,
-        outcome: Any,
-        gen: int,
-        pending: Dict[int, _InFlight],
-        report: FanOutReport,
-        n_batches: int,
-    ) -> None:
-        if isinstance(outcome, dict) and outcome.get("gen") != gen:
-            return  # stale result from an aborted earlier round
-        problem = outcome_problem(outcome)
-        if problem is not None:
-            # Corrupt result: untrusted worker, candidate goes serial.
+            # Corrupt result: untrusted worker, the task runs in-process.
             task_id = (
                 outcome.get("task_id") if isinstance(outcome, dict) else None
             )
@@ -675,77 +558,68 @@ class PoolSupervisor:
                 f"corrupt result from worker {worker}: {problem}"
             )
             if entry is not None:
-                self._count_crash(entry.key, report)
+                self._count_crash(entry.key, report, kind)
                 report.missing.append(entry.key)
             if isinstance(worker, int):
-                self._recycle_worker(pool, worker, pending, report)
+                self._recycle(pool, worker, report, started)
             return
         entry = pending.pop(outcome["task_id"], None)
         if entry is None:
             return  # duplicate or already-requeued-and-answered
         if outcome["status"] == "error":
-            # The worker is healthy; the *candidate's* evaluation
-            # failed.  The serial path will raise the same error if it
-            # is real — identical to a serial run, so just step aside.
+            # The worker is healthy; the *task* failed.  The in-process
+            # path will raise the same error if it is real — identical
+            # to a serial run, so just step aside.
             report.faults.append(
-                f"worker {outcome.get('worker')} error on candidate "
+                f"worker {outcome.get('worker')} error on {kind.noun} "
                 f"{entry.key}: {outcome.get('message')}"
             )
-            self._count_crash(entry.key, report)
+            self._count_crash(entry.key, report, kind)
             report.missing.append(entry.key)
             return
         report.outcomes[entry.key] = outcome
         if outcome["status"] == "ok":
             self.observe_elapsed(
-                float(outcome.get("elapsed", 0.0)), n_batches
+                float(outcome.get("elapsed", 0.0)), started.units, kind.name
             )
 
     def _sweep_dead(
         self,
         pool: ProbeWorkerPool,
-        pending: Optional[Dict[int, _InFlight]],
         report: FanOutReport,
+        started: Optional[PendingRound] = None,
     ) -> None:
         for worker_id in pool.dead_workers():
             if worker_id in self._written_off:
                 continue
             report.faults.append(f"worker {worker_id} died")
-            self._recycle_worker(pool, worker_id, pending, report)
+            self._recycle(pool, worker_id, report, started)
 
-    def _recycle_worker(
+    def _recycle(
         self,
         pool: ProbeWorkerPool,
         worker_id: int,
-        pending: Optional[Dict[int, _InFlight]],
         report: FanOutReport,
+        started: Optional[PendingRound] = None,
     ) -> None:
         """Respawn ``worker_id`` and requeue (once) its in-flight tasks."""
-        lost = (
-            [tid for tid, e in pending.items() if e.worker == worker_id]
-            if pending else []
-        )
+        pending = started.pending if started is not None else {}
+        lost = [tid for tid, e in pending.items() if e.worker == worker_id]
         for tid in lost:
-            self._count_crash(pending[tid].key, report)
+            self._count_crash(pending[tid].key, report, started.kind)
         self._respawn(pool, worker_id, report)
-        if not pending:
-            return
         alive = pool.alive_workers()
         for i, tid in enumerate(lost):
             entry = pending[tid]
-            if (
-                entry.key in self._quarantined
-                or entry.requeued
-                or not alive
-            ):
-                # Second fault on this candidate (or nowhere to run it):
-                # it evaluates serially inside the Hedge loop instead.
+            if entry.key in self._quarantined or entry.requeued or not alive:
+                # Second fault on this task (or nowhere to run it): it
+                # runs in-process instead.
                 del pending[tid]
                 report.missing.append(entry.key)
                 continue
             entry.requeued = True
             entry.worker = alive[i % len(alive)]
-            pool.submit(entry.worker, tid, entry.layer_names, entry.bits,
-                        trace=self._round_trace)
+            started.resubmit(entry.worker, tid)
             report.requeued += 1
 
     def _respawn(

@@ -1,22 +1,13 @@
-"""The probe-worker child process loop.
+"""The pool-worker child process loop.
 
 Each worker owns a private replica of the model (inherited through the
-``fork`` at pool start) and serves two commands from its queue:
+``fork`` at pool start) and serves three commands from its queue:
 
 ``sync``
     Re-attach (if the segment changed) the shared-memory broadcast,
     copy the frozen state into the replica, apply the bit
     configuration, and rebuild the pinned probe batches.  After a sync
     the replica is byte-identical to the parent's model.
-
-``rtrain``
-    One recovery shard: reload the train-broadcast state (once per
-    batch, keyed on the batch sequence number), run the canonical
-    scaled forward/backward of :func:`repro.parallel.ddp.
-    compute_shard_grad` on this shard's slice, and ship the gradient
-    list plus captured BatchNorm batch statistics.  The parent folds
-    shards in canonical order, so which worker ran which shard is
-    invisible to the trajectory.
 
 ``eval``
     Set one candidate's layers to its probed bit width, run the exact
@@ -27,19 +18,32 @@ Each worker owns a private replica of the model (inherited through the
     here: its context fields are shipped so the parent can re-raise a
     faithful reconstruction at the moment the competition actually
     consumes the candidate (keeping journals identical to a serial
-    run).  Any other exception is shipped as ``status="error"`` and
-    makes the parent fall back to the serial path.
+    run).
+
+``rtrain``
+    One recovery shard: reload the train-broadcast state (once per
+    batch, keyed on the batch sequence number), run the canonical
+    scaled forward/backward of :func:`repro.parallel.ddp.
+    compute_shard_grad` on this shard's slice, and ship the gradient
+    list plus captured BatchNorm batch statistics.  The parent folds
+    shards in canonical order, so which worker ran which shard is
+    invisible to the trajectory.
+
+Both task kinds run in one envelope (:func:`_run_task`): trace-context
+parsing, the fault-injection hook, the span, status counter and time
+histogram, and the ``send``.  Any exception other than a divergence is
+shipped as ``status="error"`` and the parent runs that task in-process.
 
 Workers never touch journals or checkpoints — persistence stays
 single-writer in the parent.  Telemetry, by contrast, is captured
 *in-process* when the parent passes a ``telemetry_dir``: each worker
 runs its own registry + span tracer writing ``events-w<id>.jsonl`` and
 ``metrics-w<id>.json`` (single-writer per file, so there is still no
-shared mutable observer state).  Eval commands carry a trace context
+shared mutable observer state).  Task commands carry a trace context
 (``trace_id``/parent span id stamped by the parent, plus the submit
-wall-clock), so a fan-out round reassembles into one coherent
-cross-process trace and the queue-wait vs. compute split is measurable
-— see :mod:`repro.telemetry.aggregate`.
+wall-clock), so a round reassembles into one coherent cross-process
+trace and the queue-wait vs. compute split is measurable — see
+:mod:`repro.telemetry.aggregate`.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ from __future__ import annotations
 import os
 import queue as queue_module
 import time
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -72,10 +77,11 @@ _POLL_S = 1.0
 # before the pool forks — the child inherits it) to an object with:
 #
 # ``__call__(worker_id, task_id, layer_names, bits) -> Optional[str]``
-#     Consulted before every evaluation; may return ``"kill"`` (the
-#     worker dies with ``os._exit``), ``"hang"`` (sleeps
-#     ``hang_seconds`` — the supervisor's deadline must reap it) or
-#     ``"corrupt"`` (ships a schema-violating result).
+#     Consulted before every task (a recovery shard passes
+#     ``["__recover__"], 0``); may return ``"kill"`` (the worker dies
+#     with ``os._exit``), ``"hang"`` (sleeps ``hang_seconds`` — the
+#     supervisor's deadline must reap it) or ``"corrupt"`` (ships a
+#     schema-violating result).
 # ``on_start(worker_id) -> Optional[str]`` (optional)
 #     Consulted before the ready handshake; ``"kill"`` makes the
 #     spawn itself fail — the mid-respawn fault.
@@ -88,6 +94,12 @@ FAULT_HOOK = None
 # drained exit statuses.
 _EXIT_INJECTED_KILL = 170
 _EXIT_INJECTED_START_KILL = 171
+
+# Per task kind: (span name, status counter, elapsed histogram).
+_TASK_TELEMETRY = {
+    "eval": ("worker_eval", "worker.evals", "worker.eval_s"),
+    "rtrain": ("worker_train", "worker.train_shards", "worker.train_s"),
+}
 
 
 def split_broadcast(
@@ -126,6 +138,207 @@ def _parent_alive() -> bool:
         return os.getppid() != 1
 
 
+class _Segment:
+    """One attached shared-memory segment, re-mapped only when renamed."""
+
+    def __init__(self) -> None:
+        self.shm: Any = None
+        self.name: Optional[str] = None
+
+    def views(self, name: str, manifest: Any) -> Dict[str, np.ndarray]:
+        from .sharedmem import attach_arrays, views_from
+
+        if self.shm is not None and name != self.name:
+            self.close()
+        if self.shm is None:
+            self.shm, views = attach_arrays(name, manifest)
+            self.name = name
+            return views
+        # Same segment, refreshed contents: rebuild the views over the
+        # existing mapping (no re-map).
+        return views_from(self.shm, manifest)
+
+    def close(self) -> None:
+        if self.shm is not None:
+            try:
+                self.shm.close()
+            except (OSError, BufferError):
+                pass
+            self.shm = None
+
+
+class _Replica:
+    """A worker's model replica and the compute bodies of its tasks."""
+
+    def __init__(self, model, quantize_activations: bool) -> None:
+        from ..quantization.qmodules import quantized_layers
+
+        self.model = model
+        self.quantize_activations = quantize_activations
+        self.layers = dict(quantized_layers(model))
+        self.probe_segment = _Segment()
+        self.pinned: Any = None
+        # Recovery-training state: the train broadcast's segment and
+        # views, the (segment, batch sequence) whose weights are
+        # loaded, and the lazily built parameter/BN enumerations.
+        self.train_segment = _Segment()
+        self.train_views: Optional[Dict[str, np.ndarray]] = None
+        self.train_loaded: Optional[tuple] = None
+        self.train_params: Any = None
+        self.train_bn_names: Optional[Dict[int, str]] = None
+
+    def load(self, state: Dict[str, np.ndarray], bit_config: Any) -> None:
+        from ..nn.serialization import load_state_arrays
+        from ..quantization.qmodules import set_bit_config
+
+        load_state_arrays(self.model, state)
+        set_bit_config(self.model, bit_config)
+        # Mirror load_checkpoint: the loaded state carries the trained
+        # quantizer values, so statistics-initializing quantizers must
+        # not re-derive them on first forward.
+        for layer in self.layers.values():
+            for quantizer in (layer.weight_quantizer, layer.act_quantizer):
+                if hasattr(quantizer, "_initialized"):
+                    quantizer._initialized = True
+
+    def sync(self, name: str, manifest: Any, bit_config: Any) -> None:
+        from ..core.probe import PinnedProbeSet
+
+        state, batches = split_broadcast(
+            self.probe_segment.views(name, manifest)
+        )
+        self.load(state, bit_config)
+        self.pinned = PinnedProbeSet(batches)
+
+    def evaluate(self, layer_names: List[str], bits: int) -> Dict[str, Any]:
+        from ..core.resilience import DivergenceError
+        from ..core.training import evaluate
+
+        if self.pinned is None:
+            raise RuntimeError("eval before first sync")
+        layers = self.layers
+        saved = [(layers[n].w_bits, layers[n].a_bits) for n in layer_names]
+        try:
+            for n in layer_names:
+                layers[n].w_bits = bits
+                if self.quantize_activations:
+                    layers[n].a_bits = bits
+            result = evaluate(self.model, self.pinned)
+        except DivergenceError as err:
+            return {
+                "status": "diverged", "message": str(err),
+                "stage": err.stage, "batch_index": err.batch_index,
+                "value": err.value,
+            }
+        finally:
+            for n, (w_bits, a_bits) in zip(layer_names, saved):
+                layers[n].w_bits = w_bits
+                layers[n].a_bits = a_bits
+        return {"status": "ok", "loss": float(result.loss)}
+
+    def train_shard(
+        self, shard_id: int, batch_seq: int, name: str, manifest: Any,
+        bit_config: Any, batch_total: int,
+    ) -> Dict[str, Any]:
+        from .ddp import bn_module_names, compute_shard_grad
+
+        if (name, batch_seq) != self.train_loaded:
+            # One state reload per batch, however many of its shards
+            # land on this worker.  The old views go first: a segment
+            # still exporting them cannot be closed for a re-map.
+            self.train_views = None
+            self.train_views = self.train_segment.views(name, manifest)
+            self.load({
+                key: view for key, view in self.train_views.items()
+                if not key.startswith(DDP_PREFIX)
+            }, bit_config)
+            self.train_loaded = (name, batch_seq)
+        if self.train_params is None:
+            from ..core.training import trainable_parameters
+
+            self.train_params = trainable_parameters(self.model)
+            self.train_bn_names = bn_module_names(self.model)
+        images = np.array(self.train_views[f"{DDP_PREFIX}{shard_id}.images"])
+        labels = np.array(self.train_views[f"{DDP_PREFIX}{shard_id}.labels"])
+        return compute_shard_grad(
+            self.model, self.train_params, self.train_bn_names,
+            images, labels, shard_id, batch_total,
+        )
+
+    def close(self) -> None:
+        self.pinned = None
+        self.train_views = None
+        self.probe_segment.close()
+        self.train_segment.close()
+
+
+def _run_task(
+    replica: _Replica, telemetry: Any, worker_id: int, message: tuple,
+    send: Callable[[tuple], None],
+) -> None:
+    """One ``eval`` or ``rtrain`` command, from trace parsing to send."""
+    kind, gen, task_id, payload, trace = message
+    outcome: Dict[str, Any] = {
+        "task_id": task_id, "worker": worker_id, "gen": gen,
+    }
+    span_attrs: Dict[str, Any] = {"task_id": task_id, "gen": gen}
+    if kind == "eval":
+        layer_names, bits = payload
+        span_attrs["bits"] = bits
+        hook_args = (layer_names, bits)
+        compute = partial(replica.evaluate, layer_names, bits)
+    else:
+        outcome["kind"] = "train"
+        span_attrs["batch_seq"] = payload[0]
+        hook_args = (["__recover__"], 0)
+        compute = partial(replica.train_shard, task_id, *payload)
+    if isinstance(trace, dict):
+        # Cross-process parenting: the parent's round span id rides
+        # along so the aggregator can reattach this span under it;
+        # submitted_ts (wall clock — the only clock shared across
+        # processes) gives queue wait.
+        for field in ("trace_id", "parent_span", "step"):
+            if trace.get(field) is not None:
+                span_attrs[field] = trace[field]
+        submitted = trace.get("submitted_ts")
+        if submitted is not None:
+            wait_s = max(0.0, time.time() - float(submitted))
+            span_attrs["queue_wait_s"] = wait_s
+            telemetry.histogram("worker.queue_wait_s").observe(wait_s)
+    if FAULT_HOOK is not None:
+        action = FAULT_HOOK(worker_id, task_id, *hook_args)
+        if action == "kill":
+            os._exit(_EXIT_INJECTED_KILL)
+        if action == "hang":
+            time.sleep(getattr(FAULT_HOOK, "hang_seconds", 300.0))
+        elif action == "corrupt":
+            outcome["status"] = "ok"
+            outcome["loss"] = None  # schema violation
+            outcome["elapsed"] = 0.0
+            send(("result", outcome))
+            return
+    span_name, counter, histogram = _TASK_TELEMETRY[kind]
+    span = telemetry.span(span_name, **span_attrs)
+    span.__enter__()
+    t0 = time.perf_counter()
+    try:
+        outcome.update(compute())
+    except Exception as err:
+        # Ship it instead of dying: the parent runs the task
+        # in-process, and a live worker still drains its stop command.
+        outcome["status"] = "error"
+        outcome["message"] = repr(err)
+    # A shard times its own forward/backward (state reload excluded).
+    outcome.setdefault("elapsed", time.perf_counter() - t0)
+    status = str(outcome.get("status"))
+    if getattr(span, "attrs", None) is not None:
+        span.attrs["status"] = status
+    span.__exit__(None, None, None)
+    telemetry.counter(counter, status=status).inc()
+    telemetry.histogram(histogram).observe(float(outcome["elapsed"]))
+    send(("result", outcome))
+
+
 def worker_main(
     worker_id: int,
     model,
@@ -135,7 +348,7 @@ def worker_main(
     blas_limit: int,
     telemetry_dir: Optional[str] = None,
 ) -> None:
-    """Entry point of one forked probe worker (runs until ``stop``).
+    """Entry point of one forked pool worker (runs until ``stop``).
 
     Every message goes to the parent synchronously over ``result_conn``,
     this worker's own pipe.  ``blas_limit`` is the pool's per-process
@@ -143,16 +356,7 @@ def worker_main(
     worker then runs with (None without OpenBLAS).
     """
     blas.limit_threads(blas_limit)
-    from ..core.probe import PinnedProbeSet
-    from ..core.resilience import DivergenceError
-    from ..core.training import evaluate
-    from ..nn.serialization import load_state_arrays
-    from ..quantization.qmodules import (
-        quantized_layers,
-        set_bit_config,
-    )
     from ..telemetry import NULL_TELEMETRY, Telemetry
-    from .sharedmem import attach_arrays, views_from
 
     telemetry = NULL_TELEMETRY
     if telemetry_dir is not None:
@@ -162,19 +366,7 @@ def worker_main(
             # A worker that cannot observe must still evaluate.
             telemetry = NULL_TELEMETRY
 
-    layers = dict(quantized_layers(model))
-    shm = None
-    shm_name: Optional[str] = None
-    pinned: Optional[PinnedProbeSet] = None
-    # Recovery-training state: a second shared segment (the train
-    # broadcast), the batch sequence whose weights are currently
-    # loaded, and the lazily built parameter/BN enumerations.
-    train_shm = None
-    train_shm_name: Optional[str] = None
-    train_views: Optional[Dict[str, np.ndarray]] = None
-    train_seq: Optional[int] = None
-    train_params = None
-    train_bn_names: Optional[Dict[int, str]] = None
+    replica = _Replica(model, quantize_activations)
     if FAULT_HOOK is not None:
         on_start = getattr(FAULT_HOOK, "on_start", None)
         if on_start is not None and on_start(worker_id) == "kill":
@@ -191,239 +383,20 @@ def worker_main(
             kind = message[0]
             if kind == "stop":
                 break
-            if kind == "sync":
-                _, name, manifest, bit_config, sync_seq = message
-                sync_span = telemetry.span("worker_sync", sync_seq=sync_seq)
-                sync_span.__enter__()
-                if shm is not None and name != shm_name:
-                    shm.close()
-                    shm = None
-                if shm is None:
-                    shm, views = attach_arrays(name, manifest)
-                    shm_name = name
-                else:
-                    # Same segment, refreshed contents: rebuild the
-                    # views over the existing mapping (no re-map).
-                    views = views_from(shm, manifest)
-                state, batches = split_broadcast(views)
-                load_state_arrays(model, state)
-                del state, views
-                set_bit_config(model, bit_config)
-                # Mirror load_checkpoint: the synced state carries the
-                # trained quantizer values, so statistics-initializing
-                # quantizers must not re-derive them on first forward.
-                for layer in layers.values():
-                    for quantizer in (
-                        layer.weight_quantizer, layer.act_quantizer
-                    ):
-                        if hasattr(quantizer, "_initialized"):
-                            quantizer._initialized = True
-                pinned = PinnedProbeSet(batches)
-                sync_span.__exit__(None, None, None)
-                telemetry.counter("worker.syncs").inc()
-                # A fresh consistent snapshot after every barrier: a
-                # worker killed mid-round still leaves its last synced
-                # metrics behind for the aggregator.
-                telemetry.write_worker_metrics()
-                result_conn.send(("synced", worker_id, sync_seq))
-                continue
-            if kind == "rtrain":
-                (
-                    _, gen, batch_seq, name, manifest,
-                    bit_config, shard_id, batch_total,
-                ) = message[:8]
-                trace = message[8] if len(message) > 8 else None
-                outcome = {
-                    "kind": "train", "task_id": shard_id,
-                    "worker": worker_id, "gen": gen,
-                }
-                span_attrs = {
-                    "task_id": shard_id, "batch_seq": batch_seq,
-                    "gen": gen,
-                }
-                if isinstance(trace, dict):
-                    for field in ("trace_id", "parent_span", "step"):
-                        if trace.get(field) is not None:
-                            span_attrs[field] = trace[field]
-                    submitted = trace.get("submitted_ts")
-                    if submitted is not None:
-                        wait_s = max(0.0, time.time() - float(submitted))
-                        span_attrs["queue_wait_s"] = wait_s
-                        telemetry.histogram(
-                            "worker.queue_wait_s"
-                        ).observe(wait_s)
-                if FAULT_HOOK is not None:
-                    action = FAULT_HOOK(
-                        worker_id, shard_id, ["__recover__"], 0
-                    )
-                    if action == "kill":
-                        os._exit(_EXIT_INJECTED_KILL)
-                    if action == "hang":
-                        time.sleep(
-                            getattr(FAULT_HOOK, "hang_seconds", 300.0)
-                        )
-                    elif action == "corrupt":
-                        outcome["status"] = "ok"
-                        outcome["loss"] = None  # schema violation
-                        outcome["elapsed"] = 0.0
-                        result_conn.send(("result", outcome))
-                        continue
-                train_span = telemetry.span("worker_train", **span_attrs)
-                train_span.__enter__()
-                t0 = time.perf_counter()
-                try:
-                    from .ddp import bn_module_names, compute_shard_grad
-
-                    if train_shm is not None and name != train_shm_name:
-                        train_shm.close()
-                        train_shm = None
-                    if (
-                        train_shm is None
-                        or batch_seq != train_seq
-                    ):
-                        if train_shm is None:
-                            train_shm, train_views = attach_arrays(
-                                name, manifest
-                            )
-                            train_shm_name = name
-                        else:
-                            train_views = views_from(train_shm, manifest)
-                        # One state reload per batch, however many of
-                        # its shards land on this worker.
-                        state = {
-                            key: view
-                            for key, view in train_views.items()
-                            if not key.startswith(DDP_PREFIX)
-                        }
-                        load_state_arrays(model, state)
-                        del state
-                        set_bit_config(model, bit_config)
-                        for layer in layers.values():
-                            for quantizer in (
-                                layer.weight_quantizer, layer.act_quantizer
-                            ):
-                                if hasattr(quantizer, "_initialized"):
-                                    quantizer._initialized = True
-                        train_seq = batch_seq
-                    if train_params is None:
-                        from ..core.training import trainable_parameters
-
-                        train_params = trainable_parameters(model)
-                        train_bn_names = bn_module_names(model)
-                    images = np.array(
-                        train_views[f"{DDP_PREFIX}{shard_id}.images"]
-                    )
-                    labels = np.array(
-                        train_views[f"{DDP_PREFIX}{shard_id}.labels"]
-                    )
-                    outcome.update(
-                        compute_shard_grad(
-                            model, train_params, train_bn_names,
-                            images, labels, shard_id, batch_total,
-                        )
-                    )
-                    outcome["worker"] = worker_id
-                    outcome["gen"] = gen
-                except Exception as err:
-                    outcome["status"] = "error"
-                    outcome["message"] = repr(err)
-                    outcome["elapsed"] = time.perf_counter() - t0
-                status = str(outcome.get("status"))
-                if getattr(train_span, "attrs", None) is not None:
-                    train_span.attrs["status"] = status
-                train_span.__exit__(None, None, None)
-                telemetry.counter(
-                    "worker.train_shards", status=status
-                ).inc()
-                telemetry.histogram("worker.train_s").observe(
-                    float(outcome["elapsed"])
+            if kind != "sync":
+                _run_task(
+                    replica, telemetry, worker_id, message, result_conn.send
                 )
-                result_conn.send(("result", outcome))
                 continue
-            if kind == "eval":
-                _, gen, task_id, layer_names, bits = message[:5]
-                trace = message[5] if len(message) > 5 else None
-                outcome: Dict[str, object] = {
-                    "task_id": task_id, "worker": worker_id, "gen": gen,
-                }
-                span_attrs: Dict[str, object] = {
-                    "task_id": task_id, "bits": bits, "gen": gen,
-                }
-                if isinstance(trace, dict):
-                    # Cross-process parenting: the parent's fan-out span
-                    # id rides along so the aggregator can reattach this
-                    # span under it; submitted_ts (wall clock — the only
-                    # clock shared across processes) gives queue wait.
-                    for field in ("trace_id", "parent_span", "step"):
-                        if trace.get(field) is not None:
-                            span_attrs[field] = trace[field]
-                    submitted = trace.get("submitted_ts")
-                    if submitted is not None:
-                        wait_s = max(0.0, time.time() - float(submitted))
-                        span_attrs["queue_wait_s"] = wait_s
-                        telemetry.histogram(
-                            "worker.queue_wait_s"
-                        ).observe(wait_s)
-                if FAULT_HOOK is not None:
-                    action = FAULT_HOOK(
-                        worker_id, task_id, layer_names, bits
-                    )
-                    if action == "kill":
-                        os._exit(_EXIT_INJECTED_KILL)
-                    if action == "hang":
-                        time.sleep(
-                            getattr(FAULT_HOOK, "hang_seconds", 300.0)
-                        )
-                    elif action == "corrupt":
-                        outcome["status"] = "ok"
-                        outcome["loss"] = None  # schema violation
-                        outcome["elapsed"] = 0.0
-                        result_conn.send(("result", outcome))
-                        continue
-                eval_span = telemetry.span("worker_eval", **span_attrs)
-                eval_span.__enter__()
-                t0 = time.perf_counter()
-                try:
-                    if pinned is None:
-                        raise RuntimeError("eval before first sync")
-                    saved = [
-                        (layers[n].w_bits, layers[n].a_bits)
-                        for n in layer_names
-                    ]
-                    try:
-                        for n in layer_names:
-                            layers[n].w_bits = bits
-                            if quantize_activations:
-                                layers[n].a_bits = bits
-                        result = evaluate(model, pinned)
-                    finally:
-                        for n, (w_bits, a_bits) in zip(layer_names, saved):
-                            layers[n].w_bits = w_bits
-                            layers[n].a_bits = a_bits
-                    outcome["status"] = "ok"
-                    outcome["loss"] = float(result.loss)
-                except DivergenceError as err:
-                    outcome["status"] = "diverged"
-                    outcome["message"] = str(err)
-                    outcome["stage"] = err.stage
-                    outcome["batch_index"] = err.batch_index
-                    outcome["value"] = err.value
-                except Exception as err:
-                    # Ship it instead of dying: the parent treats any
-                    # non-divergence failure as "fall back to serial",
-                    # and a live worker still drains its stop command.
-                    outcome["status"] = "error"
-                    outcome["message"] = repr(err)
-                outcome["elapsed"] = time.perf_counter() - t0
-                status = str(outcome.get("status"))
-                if getattr(eval_span, "attrs", None) is not None:
-                    eval_span.attrs["status"] = status
-                eval_span.__exit__(None, None, None)
-                telemetry.counter("worker.evals", status=status).inc()
-                telemetry.histogram("worker.eval_s").observe(
-                    float(outcome["elapsed"])
-                )
-                result_conn.send(("result", outcome))
+            _, name, manifest, bit_config, sync_seq = message
+            with telemetry.span("worker_sync", sync_seq=sync_seq):
+                replica.sync(name, manifest, bit_config)
+            telemetry.counter("worker.syncs").inc()
+            # A fresh consistent snapshot after every barrier: a worker
+            # killed mid-round still leaves its last synced metrics
+            # behind for the aggregator.
+            telemetry.write_worker_metrics()
+            result_conn.send(("synced", worker_id, sync_seq))
     except BrokenPipeError:
         pass  # the parent is gone; nobody is left to answer
     finally:
@@ -432,15 +405,4 @@ def worker_main(
             telemetry.close()
         except OSError:
             pass
-        if shm is not None:
-            pinned = None
-            try:
-                shm.close()
-            except (OSError, BufferError):
-                pass
-        if train_shm is not None:
-            train_views = None
-            try:
-                train_shm.close()
-            except (OSError, BufferError):
-                pass
+        replica.close()

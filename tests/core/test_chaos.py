@@ -13,6 +13,7 @@ telemetry records the healing that happened.
 import numpy as np
 import pytest
 
+import repro.core.ccq as ccq_mod
 import repro.parallel.worker as worker_mod
 from repro import models
 from repro.core import CCQQuantizer
@@ -127,8 +128,7 @@ class TestChaosTrajectory:
         telemetry = Telemetry.create(log_level="silent")
         chaos_q = CCQQuantizer(
             net, train, val,
-            config=make_config(max_steps=2, probe_workers=2,
-                               pool_respawn_budget=8),
+            config=make_config(max_steps=2, probe_workers=2),
             telemetry=telemetry,
         )
         chaos = chaos_q.run()
@@ -175,6 +175,7 @@ class TestRePromotion:
         monkeypatch.setattr(
             repro.parallel, "create_probe_pool", flaky_create
         )
+        monkeypatch.setattr(ccq_mod, "POOL_REPROMOTE_AFTER", 1)
 
         net, train, val = run_factory()
         serial = CCQQuantizer(
@@ -185,8 +186,7 @@ class TestRePromotion:
         telemetry = Telemetry.create(log_level="silent")
         quantizer = CCQQuantizer(
             net, train, val,
-            config=make_config(max_steps=3, probe_workers=2,
-                               pool_repromote_after=1),
+            config=make_config(max_steps=3, probe_workers=2),
             telemetry=telemetry,
         )
         result = quantizer.run()

@@ -19,7 +19,14 @@ from repro.core import CCQQuantizer, RecoveryConfig
 from repro.core.training import make_sgd, train_epoch
 from repro.nn.data import DataLoader
 from repro.nn.serialization import named_state_arrays
-from repro.parallel import DDPTrainer, PoolError, plan_shards
+from repro.parallel import (
+    DDPTrainer,
+    PoolError,
+    PoolSupervisor,
+    SupervisionConfig,
+    create_probe_pool,
+    plan_shards,
+)
 from repro.quantization import quantize_model
 from repro.telemetry import Telemetry
 
@@ -98,6 +105,44 @@ class CountingLoader:
         for batch in self.loader:
             self.batches_served += 1
             yield batch
+
+
+def in_process_epoch(train_factory, max_batches=3):
+    """``(loss, weight bytes)`` of a ``workers=0`` sharded epoch."""
+    net, train, optimizer = train_factory()
+    trainer = DDPTrainer(net, grad_shards=4, workers=0)
+    loss = trainer(net, train, optimizer, max_batches=max_batches)
+    return loss, weight_bytes(net)
+
+
+def faulted_epoch(train_factory, monkeypatch, injector, supervision=None,
+                  max_batches=3):
+    """A 2-worker sharded epoch with ``injector`` in the workers.
+
+    Returns ``(loss, weight bytes, trainer, shard-round reports)``.
+    """
+    monkeypatch.setattr(worker_mod, "FAULT_HOOK", injector)
+    net, train, optimizer = train_factory()
+    pool = create_probe_pool(net, 2)
+    supervisor = PoolSupervisor(supervision)
+    reports = []
+    run_train_round = supervisor.run_train_round
+
+    def recording(*args, **kwargs):
+        outcomes, report = run_train_round(*args, **kwargs)
+        reports.append(report)
+        return outcomes, report
+
+    supervisor.run_train_round = recording
+    trainer = DDPTrainer(
+        net, grad_shards=4, workers=2,
+        pool_getter=lambda: pool, supervisor_getter=lambda: supervisor,
+    )
+    try:
+        loss = trainer(net, train, optimizer, max_batches=max_batches)
+    finally:
+        pool.close()
+    return loss, weight_bytes(net), trainer, reports
 
 
 class TestPlanShards:
@@ -194,22 +239,56 @@ class TestTrainerEquivalence:
         """A worker dying on its shard changes where the gradient is
         computed (respawn + requeue, or in-process salvage), never its
         bytes."""
-        net_r, train_r, opt_r = train_factory()
-        trainer_r = DDPTrainer(net_r, grad_shards=4, workers=0)
-        loss_r = trainer_r(net_r, train_r, opt_r, max_batches=3)
+        reference = in_process_epoch(train_factory)
+        loss, weights, trainer, reports = faulted_epoch(
+            train_factory, monkeypatch,
+            WorkerFaultInjector(tmp_path / "faults", kill_on={(0, 1)}),
+        )
+        assert sum(r.respawned for r in reports) >= 1
+        assert (loss, weights) == reference
 
-        monkeypatch.setattr(worker_mod, "FAULT_HOOK", WorkerFaultInjector(
-            tmp_path / "faults", kill_on={(0, 1)},
-        ))
-        net_k, train_k, opt_k = train_factory()
-        trainer_k = DDPTrainer.standalone(net_k, workers=2, grad_shards=4)
-        try:
-            loss_k = trainer_k(net_k, train_k, opt_k, max_batches=3)
-        finally:
-            trainer_k.close()
-
-        assert loss_k == loss_r
-        assert weight_bytes(net_k) == weight_bytes(net_r)
+    @pytest.mark.parametrize("fault", ["hang", "corrupt", "exhausted"])
+    def test_shard_round_fault_is_salvaged_bitwise(
+        self, fault, train_factory, monkeypatch, tmp_path
+    ):
+        """The rest of the probe round's fault matrix, on shard rounds:
+        a hung worker reaped at a short deadline (its shard recomputed
+        in-process), a schema-rejected result (worker recycled), and a
+        respawn budget that runs out (the trainer degrades to
+        in-process shards).  Loss and weight bytes never move."""
+        trigger = {(0, 1)}
+        injector, supervision = {
+            "hang": (
+                WorkerFaultInjector(tmp_path / "faults", hang_on=trigger,
+                                    hang_seconds=60.0),
+                SupervisionConfig(probe_timeout=2.0),
+            ),
+            "corrupt": (
+                WorkerFaultInjector(tmp_path / "faults", corrupt_on=trigger),
+                SupervisionConfig(),
+            ),
+            "exhausted": (
+                WorkerFaultInjector(tmp_path / "faults", kill_on=trigger),
+                SupervisionConfig(respawn_budget=0),
+            ),
+        }[fault]
+        reference = in_process_epoch(train_factory)
+        loss, weights, trainer, reports = faulted_epoch(
+            train_factory, monkeypatch, injector, supervision,
+        )
+        faults = [f for r in reports for f in r.faults]
+        if fault == "exhausted":
+            assert any(r.degraded for r in reports)
+            assert trainer.degraded
+        else:
+            assert any(
+                ("hung" if fault == "hang" else "corrupt result") in f
+                for f in faults
+            ), faults
+            assert sum(r.respawned for r in reports) >= 1
+            assert sum(len(r.missing) for r in reports) >= 1
+            assert not trainer.degraded
+        assert (loss, weights) == reference
 
 
 class TestCCQWorkerCountInvariance:

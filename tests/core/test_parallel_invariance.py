@@ -314,9 +314,7 @@ class TestConfigSurface:
         flipped = CCQQuantizer(
             net, train, val,
             config=make_config(ckpt, probe_workers=2,
-                               probe_timeout=42.0,
-                               pool_respawn_budget=3,
-                               pool_repromote_after=9),
+                               probe_timeout=42.0),
         )
         result = flipped.run(resume=True)
         assert [r.step for r in result.records] == list(range(8))

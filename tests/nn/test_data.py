@@ -123,52 +123,3 @@ class TestTransforms:
             lambda img, r: img * 2.0,
         ])
         np.testing.assert_allclose(t(np.zeros((1, 1, 1)), rng), 2.0)
-
-
-class TestPrefetch:
-    def test_batches_identical_to_serial(self):
-        ds = make_dataset(20)
-        serial = DataLoader(ds, batch_size=4, shuffle=True, seed=5)
-        ahead = DataLoader(ds, batch_size=4, shuffle=True, seed=5,
-                           prefetch=True)
-        for _ in range(2):  # two epochs: the shuffle RNG stays in sync
-            for (si, sl), (ai, al) in zip(serial, ahead):
-                np.testing.assert_array_equal(si, ai)
-                np.testing.assert_array_equal(sl, al)
-
-    def test_counters_advance_identically(self):
-        ds = make_dataset(10)
-        loader = DataLoader(ds, batch_size=4, prefetch=True)
-        list(loader)
-        assert loader.batches_served == 3
-        assert loader.samples_served == 10
-
-    def test_source_error_reraises_in_consumer(self):
-        ds = make_dataset(10)
-
-        def explode(img, rng):
-            raise RuntimeError("bad sample")
-
-        ds.transform = explode
-        loader = DataLoader(ds, batch_size=4, prefetch=True)
-        with pytest.raises(RuntimeError, match="bad sample"):
-            list(loader)
-
-    def test_early_break_does_not_hang(self):
-        loader = DataLoader(make_dataset(40), batch_size=4, prefetch=True)
-        iterator = iter(loader)
-        next(iterator)
-        iterator.close()
-        iterator._thread.join(timeout=2.0)
-        assert not iterator._thread.is_alive()
-        # A fresh iteration starts a fresh epoch as usual.
-        assert len(list(loader)) == 10
-
-    def test_exhausted_iterator_thread_terminates(self):
-        loader = DataLoader(make_dataset(8), batch_size=4, prefetch=True)
-        iterator = iter(loader)
-        assert len(list(iterator)) == 2
-        with pytest.raises(StopIteration):
-            next(iterator)
-        iterator._thread.join(timeout=2.0)
-        assert not iterator._thread.is_alive()

@@ -19,7 +19,7 @@ from repro.nn import backends
 from repro.nn.data import DataLoader
 from repro.nn.serialization import named_state_arrays
 from repro.nn.tensor import Tensor
-from repro.parallel import ProbeWorkerPool, blas
+from repro.parallel import PoolSupervisor, ProbeWorkerPool, blas
 from repro.quantization import (
     get_bit_config,
     quantize_model,
@@ -73,6 +73,7 @@ class TestBudget:
     def test_degrade_restores_the_parent(
         self, pretrained_state, tiny_splits, monkeypatch, tmp_path
     ):
+        import repro.core.ccq as ccq_mod
         import repro.parallel.worker as worker_mod
 
         before = blas.threads()
@@ -86,6 +87,7 @@ class TestBudget:
         monkeypatch.setattr(CCQQuantizer, "_degrade_pool", recording_degrade)
         # A worker dies on its first candidate and the respawn budget is
         # zero, so the first fan-out degrades the run to serial.
+        monkeypatch.setattr(ccq_mod, "POOL_RESPAWN_BUDGET", 0)
         monkeypatch.setattr(
             worker_mod, "FAULT_HOOK",
             WorkerFaultInjector(tmp_path / "faults", kill_on={(0, 0)}),
@@ -99,8 +101,7 @@ class TestBudget:
                          seed=7)
         CCQQuantizer(
             net, train, val,
-            config=make_config(max_steps=2, probe_workers=2,
-                               pool_respawn_budget=0),
+            config=make_config(max_steps=2, probe_workers=2),
             telemetry=Telemetry.create(log_level="silent"),
         ).run()
         assert seen_after_degrade, "the pool never degraded"
@@ -165,11 +166,11 @@ class TestWithoutOpenBLAS:
         try:
             assert pool.blas_threads is None
             assert pool.worker_blas_threads == [None]
-            pool.broadcast(
-                named_state_arrays(quantized_net),
+            report = PoolSupervisor().run_round(
+                pool, named_state_arrays(quantized_net),
                 get_bit_config(quantized_net), pinned.batches,
+                [("k", [name], 4)],
             )
-            outcomes = pool.evaluate_candidates([("k", [name], 4)])
-            assert outcomes["k"]["status"] == "ok"
+            assert report.outcomes["k"]["status"] == "ok"
         finally:
             pool.close()

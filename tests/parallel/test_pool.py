@@ -1,4 +1,8 @@
-"""The probe worker pool: bit-identical worker evals, failure modes."""
+"""The probe worker pool: bit-identical worker evals, failure modes.
+
+Rounds go through :meth:`PoolSupervisor.run_round`, the only way the
+search drives the pool.
+"""
 
 import numpy as np
 import pytest
@@ -9,7 +13,12 @@ from repro.core.training import evaluate
 from repro.datasets.synthetic import SyntheticImageConfig, _make_splits
 from repro.nn.data import DataLoader
 from repro.nn.serialization import named_state_arrays
-from repro.parallel import PoolError, ProbeWorkerPool, create_probe_pool
+from repro.parallel import (
+    PoolError,
+    PoolSupervisor,
+    ProbeWorkerPool,
+    create_probe_pool,
+)
 from repro.quantization import (
     get_bit_config,
     quantize_model,
@@ -47,6 +56,15 @@ def serial_loss(net, layers, layer_names, bits, pinned):
             layers[n].a_bits = a
 
 
+def run_round(net, pool, pinned, tasks, supervisor=None):
+    """One supervised round: broadcast ``net``'s state, evaluate ``tasks``."""
+    supervisor = supervisor or PoolSupervisor()
+    return supervisor.run_round(
+        pool, named_state_arrays(net), get_bit_config(net),
+        pinned.batches, tasks,
+    )
+
+
 class TestPoolEvaluation:
     def test_worker_losses_bit_identical_to_serial(
         self, quantized_net, val_dataset
@@ -59,14 +77,12 @@ class TestPoolEvaluation:
         )
         pool = create_probe_pool(net, n_workers=2)
         try:
-            pool.broadcast(
-                named_state_arrays(net), get_bit_config(net),
-                pinned.batches,
-            )
             tasks = [
                 ((i, 4), [name], 4) for i, name in enumerate(names[:3])
             ]
-            outcomes = pool.evaluate_candidates(tasks)
+            report = run_round(net, pool, pinned, tasks)
+            assert not report.faults
+            outcomes = report.outcomes
             assert set(outcomes) == {key for key, _, _ in tasks}
             for (key, layer_names, bits) in tasks:
                 outcome = outcomes[key]
@@ -91,18 +107,17 @@ class TestPoolEvaluation:
             DataLoader(val_dataset, batch_size=32), max_batches=1
         )
         pool = ProbeWorkerPool(net, n_workers=1)
+        supervisor = PoolSupervisor()
+        tasks = [(("k", 4), [name], 4)]
         try:
-            pool.broadcast(named_state_arrays(net), get_bit_config(net),
-                           pinned.batches)
-            first = pool.evaluate_candidates([(("k", 4), [name], 4)])
+            first = run_round(net, pool, pinned, tasks, supervisor).outcomes
 
-            # Perturb the model, re-broadcast (same layout -> same
-            # segment), and the worker must score the *new* weights.
+            # Perturb the model; the next round re-broadcasts (same
+            # layout -> same segment), and the worker must score the
+            # *new* weights.
             for _, p in net.named_parameters():
                 p.data += 0.05
-            pool.broadcast(named_state_arrays(net), get_bit_config(net),
-                           pinned.batches)
-            second = pool.evaluate_candidates([(("k", 4), [name], 4)])
+            second = run_round(net, pool, pinned, tasks, supervisor).outcomes
 
             assert first[("k", 4)]["loss"] != second[("k", 4)]["loss"]
             expected = serial_loss(net, layers, [name], 4, pinned)
@@ -112,20 +127,25 @@ class TestPoolEvaluation:
 
 
 class TestPoolFailure:
-    def test_unknown_layer_ships_error_and_raises(
+    def test_unknown_layer_ships_error_and_goes_missing(
         self, quantized_net, val_dataset
     ):
+        """A worker-side error is a recorded fault; the candidate is
+        left to the serial path, which raises the same error."""
         pinned = pin_probe_batches(
             DataLoader(val_dataset, batch_size=32), max_batches=1
         )
         pool = ProbeWorkerPool(quantized_net, n_workers=1)
         try:
-            pool.broadcast(
-                named_state_arrays(quantized_net),
-                get_bit_config(quantized_net), pinned.batches,
+            report = run_round(
+                quantized_net, pool, pinned,
+                [(("k", 4), ["no.such.layer"], 4)],
             )
-            with pytest.raises(PoolError, match="failed"):
-                pool.evaluate_candidates([(("k", 4), ["no.such.layer"], 4)])
+            assert report.missing == [("k", 4)]
+            assert not report.outcomes
+            assert any("error on candidate" in f and "no.such.layer" in f
+                       for f in report.faults)
+            assert pool.alive_workers() == [0]  # the worker stays up
         finally:
             pool.close()
 
@@ -134,7 +154,7 @@ class TestPoolFailure:
         pool.close()
         pool.close()  # idempotent
         with pytest.raises(PoolError):
-            pool.evaluate_candidates([])
+            pool.submit(0, "eval", 0, (["any.layer"], 4))
 
     def test_invalid_worker_count(self, quantized_net):
         with pytest.raises(ValueError):
